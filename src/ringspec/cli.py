@@ -2,7 +2,8 @@
 
 Verdicts go to stdout as JSON, grids and trajectories as CSV with a declared
 header; diagnostics go to stderr.  Exit codes: 0 success, 1 the analysis was
-ambiguous or found a disagreement, 2 invalid input.
+ambiguous or found a disagreement (``scan``, ``classify --numeric``), 2
+invalid input.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ def _cmd_classify(args) -> int:
         record["numeric_essentially_cyclic"] = verdict
         record["numeric_agrees"] = verdict == record["essentially_cyclic"]
     _emit(record, args.json)
+    if args.numeric and not record["numeric_agrees"]:
+        print(f"disagreement at n={g.n} mask={g.mask_string()}", file=sys.stderr)
+        return EXIT_AMBIGUOUS
     return EXIT_OK
 
 

@@ -258,11 +258,12 @@ def slowest_complex_pair(roots: ComplexRootSet, imag_threshold: float = 1e-6) ->
 def exhaustive_scan(n: int, cfg: RootFinderConfig = RootFinderConfig()) -> dict:
     """Compare the exact classifier with the numeric verdict over all 2**n masks.
 
-    Equal masks can share a characteristic polynomial (gap order does not
-    matter), and equal polynomials have equal roots, so the numeric verdict
-    is memoized per coefficient tuple.  Returns mask strings of any
-    disagreements and of masks where the numeric verdict was ambiguous, both
-    sorted.
+    Masks with the same gap multiset share a characteristic polynomial (the
+    product of Z factors does not depend on gap order), so the numeric
+    verdict is memoized per (K, sorted gaps): the gap product, the root
+    solve and the verdict run once per multiset, the exact classifier on
+    every mask.  Returns mask strings of any disagreements and of masks
+    where the numeric verdict was ambiguous, both sorted.
     """
     verdicts: dict[tuple, bool | None] = {}
     disagreements: list[str] = []
@@ -270,11 +271,12 @@ def exhaustive_scan(n: int, cfg: RootFinderConfig = RootFinderConfig()) -> dict:
     for bits in range(2 ** n):
         mask = tuple(bool((bits >> j) & 1) for j in range(n))
         g = RingDigraph(n, mask)
-        poly = char_poly(g)
-        key = poly.coefficients
+        dec = decompose(g)
+        key = (dec.K, tuple(sorted(dec.gaps)))
         if key not in verdicts:
             try:
-                verdicts[key] = rootfind.spectral_verdict(rootfind.aberth_roots(poly, cfg), cfg)
+                verdicts[key] = rootfind.spectral_verdict(
+                    rootfind.aberth_roots(char_poly(g), cfg), cfg)
             except rootfind.AmbiguousSpectrumError:
                 verdicts[key] = None
         numeric = verdicts[key]

@@ -10,13 +10,17 @@ monomial basis becomes badly conditioned near the ends of the root interval
 (evaluation noise grows like 6**degree), so the config exposes a working
 precision in decimal digits; when set, the iteration runs in mpmath arithmetic
 on the exact coefficients.  Individual roots can also be polished after the
-fact with :func:`refine_root`.
+fact with :func:`refine_root`.  Polishing runs Newton's method on the
+square-free part p / gcd(p, p') (:func:`square_free_part`), computed exactly:
+it has the same roots as p, all simple, so Newton converges quadratically
+even where p has a double or triple root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import mpmath
@@ -26,7 +30,10 @@ from .polycore import IntPolynomial
 
 #: Roots whose imaginary part lands below this are treated as possibly-real
 #: artifacts of a split multiple root and get refined before any verdict.
-SUSPICIOUS_IMAG_BAND = 1e-3
+#: Double precision splits the symmetric ring's double roots by up to 4.9e-3
+#: at n = 16, while every essentially cyclic ring mask with n <= 16 has a
+#: conjugate pair with |Im| >= 0.132.
+SUSPICIOUS_IMAG_BAND = 1e-2
 
 
 class AmbiguousSpectrumError(RuntimeError):
@@ -255,15 +262,79 @@ def _aberth_mp(coeffs: tuple, cfg: RootFinderConfig) -> ComplexRootSet:
     return ComplexRootSet(roots, _residuals(coeffs, roots), converged, coeffs)
 
 
-def refine_root(p, z: complex, dps: int = 60, max_steps: int = 90) -> RefinedRoot:
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by the gcd of its coefficients, leading coefficient positive."""
+    c = math.gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return [v // c for v in a]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of a mod b (ascending coefficients)."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(r) - 1 >= db:
+        g = math.gcd(lb, r[-1])
+        fb, fr = lb // g, r[-1] // g
+        shift = len(r) - 1 - db
+        r = [v * fb for v in r]
+        for i, c in enumerate(b):
+            r[i + shift] -= fr * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b, for a divisor b whose quotient has integer coefficients."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = r[k + db] // lb
+        for i, v in enumerate(b):
+            r[i + k] -= c * v
+    if any(r):
+        raise ArithmeticError("polynomial division not exact")
+    return q
+
+
+def square_free_part(p) -> tuple:
+    """p / gcd(p, p'): the same roots as p, each of them simple.
+
+    Exact throughout: float coefficients are converted losslessly through
+    ``Fraction``, and the gcd is the last nonzero term of a primitive integer
+    polynomial remainder sequence.  A square-free p comes back unchanged;
+    otherwise the result has primitive integer coefficients (ascending) with
+    a positive leading one.
+    """
+    coeffs = _coefficients(p)
+    fracs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(f.denominator for f in fracs))
+    ints = _primitive([int(f * den) for f in fracs])
+    a, b = ints, _primitive([i * c for i, c in enumerate(ints)][1:])
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return tuple(_exact_quotient(ints, b))
+        a, b = b, _primitive(r)
+    return coeffs
+
+
+def refine_root(p, z: complex, dps: int = 60, max_steps: int = 90, *,
+                square_free: bool = False) -> RefinedRoot:
     """Newton-polish one approximate root in high-precision arithmetic.
 
+    Newton runs on :func:`square_free_part` of p, where every root is simple
+    and convergence is quadratic; ``square_free=True`` says p already is
+    square-free, so a caller refining many roots computes that part once.
     Evaluation uses the exact coefficients (integers, or floats converted
     losslessly), so split multiple roots collapse back onto the real axis
     instead of stalling at the double-precision noise floor.  Divergence
     returns the input unchanged with ``converged=False``.
     """
-    coeffs = _coefficients(p)
+    coeffs = _coefficients(p) if square_free else square_free_part(p)
     with mpmath.workdps(dps):
         cs = [mpmath.mpf(c) for c in coeffs]
         dcs = [cs[i] * i for i in range(1, len(cs))]
@@ -293,10 +364,11 @@ def refine_root(p, z: complex, dps: int = 60, max_steps: int = 90) -> RefinedRoo
 
 
 def refine_all(rootset: ComplexRootSet, dps: int = 60) -> ComplexRootSet:
-    """Newton-polish every root of a converged root set."""
+    """Newton-polish every root of a converged root set on its square-free part."""
+    q = square_free_part(rootset.source)
     refined = []
     for z in rootset.roots:
-        rr = refine_root(rootset.source, z, dps=dps)
+        rr = refine_root(q, z, dps=dps, square_free=True)
         refined.append(rr.value if rr.converged else z)
     roots = tuple(refined)
     return ComplexRootSet(roots, _residuals(rootset.source, roots),
@@ -359,19 +431,22 @@ def spectral_verdict(rootset: ComplexRootSet, cfg: RootFinderConfig = RootFinder
     """True when the spectrum genuinely contains a non-real eigenvalue.
 
     Roots whose imaginary part falls in the suspicious band are first pushed
-    through :func:`refine_root`; a double real root split by rounding
-    collapses back, a true conjugate pair does not.  If refinement leaves a
-    root strictly between the convergence tolerance and the imaginary
-    threshold the answer is undecidable and an
+    through :func:`refine_root` on the square-free part of the polynomial; a
+    double real root split by rounding collapses back, a true conjugate pair
+    does not.  If refinement leaves a root strictly between the convergence
+    tolerance and the imaginary threshold the answer is undecidable and an
     :class:`AmbiguousSpectrumError` is raised.
     """
     if not rootset.converged:
         raise ValueError("root set did not converge; no verdict possible")
     imags = []
+    q = None  # the square-free part, computed once a root needs refining
     for z in rootset.roots:
         ai = abs(z.imag)
         if cfg.refine_suspicious and cfg.convergence_tol < ai <= SUSPICIOUS_IMAG_BAND:
-            rr = refine_root(rootset.source, z)
+            if q is None:
+                q = square_free_part(rootset.source)
+            rr = refine_root(q, z, square_free=True)
             if rr.converged:
                 ai = abs(rr.value.imag)
         imags.append(ai)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from ringspec import cli
 from ringspec.cli import main
 
 
@@ -42,6 +43,32 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "8", "10110100", "--numeric")
         rec = json.loads(out)
         assert code == 0
+        assert rec["numeric_agrees"] is True
+
+    def test_numeric_disagreement_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "spectral_verdict", lambda rs, cfg: True)
+        code, out, err = run(capsys, "classify", "8", "11111111", "--numeric")
+        rec = json.loads(out)
+        assert code == 1
+        assert rec["numeric_essentially_cyclic"] is True
+        assert rec["numeric_agrees"] is False
+        assert "disagreement" in err
+
+    def test_numeric_symmetric_ring_at_fifteen(self, capsys):
+        # double precision splits its double roots by up to 1.8e-3
+        code, out, _ = run(capsys, "classify", "15", "1" * 15, "--numeric")
+        rec = json.loads(out)
+        assert code == 0
+        assert rec["numeric_essentially_cyclic"] is False
+        assert rec["numeric_agrees"] is True
+
+    def test_numeric_split_gaps_at_fifteen_stay_cyclic(self, capsys):
+        # its conjugate pair has |Im| = 0.132, the smallest of any
+        # essentially cyclic mask with n <= 16: outside the refinement band
+        code, out, _ = run(capsys, "classify", "15", "111111111110110", "--numeric")
+        rec = json.loads(out)
+        assert code == 0
+        assert rec["numeric_essentially_cyclic"] is True
         assert rec["numeric_agrees"] is True
 
     def test_malformed_mask_exits_2(self, capsys):

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from ringspec import rootfind
 from ringspec.polycore import poly_mul, poly_shift_const, z_poly
 from ringspec.ringgraph import (
     CASE_BALANCED,
@@ -287,6 +288,35 @@ class TestScan:
             assert res["instances"] == 2 ** n
             assert res["disagreements"] == []
             assert res["ambiguous"] == []
+
+    def test_one_solve_per_gap_multiset(self, monkeypatch):
+        n = 8
+        solves = []
+        real_aberth = rootfind.aberth_roots
+
+        def counting_aberth(p, cfg=CFG):
+            solves.append(p)
+            return real_aberth(p, cfg)
+
+        monkeypatch.setattr(rootfind, "aberth_roots", counting_aberth)
+        multisets = set()
+        for mask in all_masks(n):
+            absent = [j for j in range(n) if not mask[j]]
+            gaps = [(b - a) % n or n for a, b in zip(absent, absent[1:] + absent[:1])]
+            multisets.add(tuple(sorted(gaps)))
+        res = exhaustive_scan(n)
+        assert len(solves) == len(multisets)
+        assert res["disagreements"] == []
+        assert res["ambiguous"] == []
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_symmetric_ring_double_roots_beyond_degree_twelve(self, n):
+        # double precision splits the symmetric ring's double roots by up to
+        # 1.8e-3 (n = 15) and 4.9e-3 (n = 16); refinement must rejoin them
+        res = exhaustive_scan(n)
+        assert res["instances"] == 2 ** n
+        assert res["disagreements"] == []
+        assert res["ambiguous"] == []
 
 
 class TestRecord:

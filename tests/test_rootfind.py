@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ringspec.polycore import IntPolynomial, poly_mul, poly_shift_const, z_poly
-from ringspec.ringgraph import RingDigraph, laplacian
+from ringspec.ringgraph import RingDigraph, char_poly, laplacian
 from ringspec.rootfind import (
     AmbiguousSpectrumError,
     RootFinderConfig,
@@ -19,6 +19,7 @@ from ringspec.rootfind import (
     refine_all,
     refine_root,
     spectral_verdict,
+    square_free_part,
 )
 from support import match_multisets
 
@@ -155,12 +156,58 @@ class TestRefinement:
             scale = sum(abs(c) for c in p.coefficients)
             assert abs(val) / scale < 1e-12
 
+    def test_split_double_root_converges_in_few_steps(self):
+        # on (x-2)^2(x-3) itself Newton halves the error per step; on the
+        # square-free part it converges quadratically
+        p = poly_mul(poly_mul(IntPolynomial([-2, 1]), IntPolynomial([-2, 1])),
+                     IntPolynomial([-3, 1]))
+        rr = refine_root(p, 2 + 1e-7j, max_steps=10)
+        assert rr.converged
+        assert abs(rr.value.imag) < 1e-40
+        assert rr.value.real == pytest.approx(2.0, abs=1e-15)
+
     def test_refine_all_restores_split_doubles(self):
         # near-balanced two-gap digraph: all roots real, several double
         g = RingDigraph.from_mask_string(9, "111011110")
         p = char_poly_exact(laplacian(g))
         rs = refine_all(aberth_roots(p, CFG))
         assert rs.max_abs_imag() < 1e-12
+
+
+def _monic_from_roots(roots):
+    p = IntPolynomial([1])
+    for r in roots:
+        p = poly_mul(p, IntPolynomial([-r, 1]))
+    return p
+
+
+class TestSquareFreePart:
+    def test_repeated_roots_become_simple(self):
+        q = square_free_part(_monic_from_roots([1, 1, 2, 2, 2]))
+        expected = _monic_from_roots([1, 2]).coefficients
+        assert len(q) == 3
+        assert [c * expected[-1] for c in q] == [c * q[-1] for c in expected]
+
+    def test_square_free_float_cubic_unchanged(self):
+        coeffs = [0.5, -1.25, 0.1, 2.0]
+        assert square_free_part(coeffs) == tuple(coeffs)
+
+    def test_float_coefficients_with_a_double_root(self):
+        # 0.25 (x - 0.5)^2 (x + 1.5), exactly representable
+        q = square_free_part([0.09375, -0.3125, 0.125, 0.25])
+        assert q == (-3, 4, 4)  # 4 (x - 0.5)(x + 1.5)
+
+    def test_symmetric_ring_at_eight(self):
+        # eigenvalues 4 sin^2(pi k / 8): k = 0 and 4 simple, three doubles
+        p = char_poly(RingDigraph(8, (True,) * 8))
+        q = square_free_part(p)
+        assert len(q) - 1 == 5
+        rs = aberth_roots(q, CFG)
+        expected = [4 * math.sin(math.pi * k / 8) ** 2 for k in range(5)]
+        match_multisets(expected, rs.roots, 1e-12)
+
+    def test_degree_one(self):
+        assert square_free_part(IntPolynomial([3, 2])) == (3, 2)
 
 
 class TestCharPolyExact:
