@@ -22,6 +22,7 @@ from .polycore import (
     poly_mul,
     poly_shift_const,
     product_bound_witness,
+    w_poly,
     z_poly,
     z_roots,
     z_shifted_roots,
@@ -41,6 +42,7 @@ from .ringgraph import (
 from .rootfind import (
     AmbiguousSpectrumError,
     ComplexRootSet,
+    NonConvergenceError,
     RootFinderConfig,
     aberth_roots,
     char_poly_exact,
@@ -62,6 +64,7 @@ __all__ = [
     "poly_mul",
     "poly_shift_const",
     "product_bound_witness",
+    "w_poly",
     "z_poly",
     "z_roots",
     "z_shifted_roots",
@@ -77,6 +80,7 @@ __all__ = [
     "spectrum_numeric",
     "AmbiguousSpectrumError",
     "ComplexRootSet",
+    "NonConvergenceError",
     "RootFinderConfig",
     "aberth_roots",
     "char_poly_exact",

@@ -2,8 +2,8 @@
 
 Verdicts go to stdout as JSON, grids and trajectories as CSV with a declared
 header; diagnostics go to stderr.  Exit codes: 0 success, 1 the analysis was
-ambiguous or found a disagreement (``scan``, ``classify --numeric``), 2
-invalid input.
+ambiguous, the numeric oracle did not converge, or a disagreement was found
+(``scan``, ``classify --numeric``), 2 invalid input.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .ringgraph import (
 )
 from .rootfind import (
     AmbiguousSpectrumError,
+    NonConvergenceError,
     RootFinderConfig,
     aberth_roots,
     char_poly_float,
@@ -261,6 +262,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except AmbiguousSpectrumError as exc:
         print(f"ambiguous: {exc}", file=sys.stderr)
+        return EXIT_AMBIGUOUS
+    except NonConvergenceError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_AMBIGUOUS
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -1,6 +1,6 @@
-"""Exact integer polynomials and the two Chebyshev-type families used everywhere else.
+"""Exact integer polynomials and the Chebyshev-type families used everywhere else.
 
-Two related families are the workhorses of this package:
+Three related families are the workhorses of this package:
 
 * ``cheb_u(n)`` -- the degree-n Chebyshev polynomial of the second kind scaled
   to the interval (-2, 2): ``P_0 = 1``, ``P_1 = x``, ``P_n = x*P_{n-1} - P_{n-2}``.
@@ -10,6 +10,10 @@ Two related families are the workhorses of this package:
   ``Z_0 = 1``, ``Z_1 = x - 1``, ``Z_n = (x-2)*Z_{n-1} - Z_{n-2}``.
   Substituting x**2 into Z_n yields cheb_u(2n), so its roots are
   ``4*cos(pi*k/(2n+1))**2``, all inside [0, 4).
+* ``w_poly(n)`` -- the Chebyshev polynomial of the first kind, doubled and
+  shifted: ``W_0 = 2``, ``W_1 = x - 2``, ``W_n = (x-2)*W_{n-1} - W_{n-2}``,
+  so ``W_n(x) = 2*T_n((x-2)/2)``.  ``W_n - 2*(-1)**n`` is the characteristic
+  polynomial of the symmetric ring's Laplacian.
 
 All coefficients are arbitrary-precision Python integers; binomial-sized
 coefficients overflow 64-bit words near degree 35, and exactness is the whole
@@ -145,6 +149,7 @@ class RealRootVerdict:
 
 _CHEB_CACHE: list[IntPolynomial] = [IntPolynomial([1]), IntPolynomial([0, 1])]
 _Z_CACHE: list[IntPolynomial] = [IntPolynomial([1]), IntPolynomial([-1, 1])]
+_W_CACHE: list[IntPolynomial] = [IntPolynomial([2]), IntPolynomial([-2, 1])]
 # guards cache growth; lock-free reads are fine since the lists only grow
 _CACHE_LOCK = threading.Lock()
 _X_MINUS_2 = IntPolynomial([-2, 1])
@@ -175,6 +180,24 @@ def z_poly(n: int) -> IntPolynomial:
             while len(_Z_CACHE) <= n:
                 _Z_CACHE.append(_X_MINUS_2 * _Z_CACHE[-1] - _Z_CACHE[-2])
     return _Z_CACHE[n]
+
+
+def w_poly(n: int) -> IntPolynomial:
+    """Doubled, shifted Chebyshev polynomial of the first kind, degree n.
+
+    W_n(x) = 2*T_n((x-2)/2), so its roots are 2 - 2*cos(pi*(2k-1)/(2n)).
+    For n >= 3, W_n - 2*(-1)**n = det(xI - L) for the Laplacian L of the
+    symmetric ring on n vertices (the circulant with eigenvalues
+    2 - 2*cos(2*pi*k/n) = 4*sin(pi*k/n)**2), equivalently
+    (-1)**n * (2*T_n((2-x)/2) - 2).
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n >= len(_W_CACHE):
+        with _CACHE_LOCK:
+            while len(_W_CACHE) <= n:
+                _W_CACHE.append(_X_MINUS_2 * _W_CACHE[-1] - _W_CACHE[-2])
+    return _W_CACHE[n]
 
 
 def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:

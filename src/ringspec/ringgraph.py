@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import rootfind
-from .polycore import IntPolynomial, poly_shift_const, z_poly
+from .polycore import IntPolynomial, poly_shift_const, w_poly, z_poly
 from .rootfind import ComplexRootSet, RootFinderConfig
 
 CASE_FULL_CYCLE = "full-cycle"
@@ -127,8 +127,8 @@ def char_poly(g: RingDigraph) -> IntPolynomial:
 
     For 1 <= K <= n-1 this is prod_k Z_{i_k} - (-1)**n.  The bare cycle
     (K = n) expands (x-1)**n - (-1)**n directly; the symmetric ring (K = 0)
-    falls back to the generic exact algorithm, which is unconditionally
-    trustworthy.
+    is the Chebyshev closed form W_n - 2*(-1)**n with W_n(x) = 2*T_n((x-2)/2)
+    (:func:`ringspec.polycore.w_poly`).  No branch calls the numeric oracle.
     """
     dec = decompose(g)
     n = g.n
@@ -136,7 +136,7 @@ def char_poly(g: RingDigraph) -> IntPolynomial:
         coeffs = [math.comb(n, i) * (-1) ** (n - i) for i in range(n + 1)]
         return poly_shift_const(IntPolynomial(coeffs), -((-1) ** n))
     if dec.K == 0:
-        return rootfind.char_poly_exact(laplacian(g))
+        return poly_shift_const(w_poly(n), -2 * (-1) ** n)
     prod = IntPolynomial([1])
     for gap in dec.gaps:
         prod = prod * z_poly(gap)

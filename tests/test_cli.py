@@ -8,6 +8,7 @@ import pytest
 
 from ringspec import cli
 from ringspec.cli import main
+from ringspec.rootfind import RootFinderConfig
 
 
 def run(capsys, *argv):
@@ -70,6 +71,13 @@ class TestClassify:
         assert code == 0
         assert rec["numeric_essentially_cyclic"] is True
         assert rec["numeric_agrees"] is True
+
+    def test_numeric_non_convergence_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "RootFinderConfig",
+                            lambda: RootFinderConfig(max_iterations=1))
+        code, _, err = run(capsys, "classify", "9", "110101011", "--numeric")
+        assert code == 1
+        assert err.startswith("numeric failure:")
 
     def test_malformed_mask_exits_2(self, capsys):
         code, _, err = run(capsys, "classify", "5", "11x01")

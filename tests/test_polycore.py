@@ -20,6 +20,7 @@ from ringspec.polycore import (
     poly_shift_const,
     product_bound_witness,
     product_polynomial,
+    w_poly,
     z_poly,
     z_roots,
     z_shifted_roots,
@@ -100,6 +101,24 @@ class TestFamilies:
     def test_square_substitution_identity(self):
         for n in range(101):
             assert z_poly(n).substitute_square() == cheb_u(2 * n), n
+
+    def test_w_poly_base_cases(self):
+        assert w_poly(0).coefficients == (2,)
+        assert w_poly(1).coefficients == (-2, 1)
+        # (x-2)^2 - 2
+        assert w_poly(2).coefficients == (2, -4, 1)
+        with pytest.raises(ValueError):
+            w_poly(-1)
+
+    def test_w_poly_is_doubled_shifted_chebyshev_t(self):
+        # W_n(x) = 2*T_n((x-2)/2), T by its own recurrence in y = (x-2)/2
+        for n in range(41):
+            for x in (Fraction(-3), Fraction(1, 3), Fraction(2), Fraction(7, 2), Fraction(9)):
+                y = (x - 2) / 2
+                t_prev, t_cur = Fraction(1), y
+                for _ in range(n):
+                    t_prev, t_cur = t_cur, 2 * y * t_cur - t_prev
+                assert eval_exact(w_poly(n), x) == 2 * t_prev, (n, x)
 
 
 class TestConcurrency:

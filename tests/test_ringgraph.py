@@ -142,6 +142,30 @@ class TestCharPoly:
                 g = RingDigraph(n, mask)
                 assert char_poly(g) == char_poly_exact(laplacian(g)), (n, mask)
 
+    def test_symmetric_ring_closed_form_matches_oracle(self):
+        for n in range(3, 41):
+            g = RingDigraph(n, (True,) * n)
+            assert char_poly(g) == char_poly_exact(laplacian(g)), n
+
+    def test_symmetric_ring_examples(self):
+        assert char_poly(RingDigraph(3, (True,) * 3)).coefficients == (0, 9, -6, 1)
+        for n in range(3, 41):
+            # n roots with n converging trees each (matrix-tree theorem)
+            coeffs = char_poly(RingDigraph(n, (True,) * n)).coefficients
+            assert coeffs[1] == (-1) ** (n - 1) * n * n, n
+
+    def test_exact_route_never_calls_the_oracle(self, monkeypatch):
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the exact route called the numeric oracle")
+
+        # replacing the code objects catches every name bound to these functions
+        for fn in (rootfind.char_poly_exact, rootfind._int_mat_mul):
+            monkeypatch.setattr(fn, "__code__", unavailable.__code__)
+        for n in range(3, 11):
+            for mask in all_masks(n):
+                coeffs = char_poly(RingDigraph(n, mask)).coefficients
+                assert len(coeffs) == n + 1 and coeffs[-1] == 1 and coeffs[0] == 0
+
     def test_single_and_double_gap_reduce_to_shifted_products(self):
         for n in range(3, 11):
             mask = [True] * n

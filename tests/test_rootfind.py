@@ -233,6 +233,18 @@ class TestCharPolyExact:
         with pytest.raises(ValueError):
             char_poly_exact([[1, 2, 3], [4, 5, 6]])
 
+    def test_dense_matrices_match_numpy(self):
+        rng = np.random.default_rng(23)
+        for trial in range(60):
+            n = int(rng.integers(1, 9))
+            m = rng.integers(-5, 6, size=(n, n))
+            if trial % 3 == 0:
+                m[int(rng.integers(n)), :] = 0
+            if trial % 4 == 0:
+                m[:, int(rng.integers(n))] = 0
+            expected = [int(round(c)) for c in np.poly(m)[::-1].real]
+            assert list(char_poly_exact(m.tolist()).coefficients) == expected, m
+
     def test_agrees_with_float_route(self):
         rng = np.random.default_rng(17)
         count = 0
