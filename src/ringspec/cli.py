@@ -9,6 +9,7 @@ ambiguous, the numeric oracle did not converge, or a disagreement was found
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -185,7 +186,9 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ringspec",
         description="Spectral classification of digraphs with ring structure.",

@@ -223,19 +223,17 @@ def eval_real(p: IntPolynomial, x: float) -> float:
 
     Fine for moderate degrees; the monomial basis is ill-conditioned near the
     ends of the root interval once degrees pass ~25, so the high-degree test
-    sweeps use :func:`eval_exact` instead.
+    sweeps use :func:`eval_exact` at ``Fraction(x)`` instead.
     """
-    acc = 0.0
-    for c in reversed(p.coefficients):
-        acc = acc * x + c
-    return acc
+    return eval_exact(p, float(x))
 
 
-def eval_exact(p: IntPolynomial, x: int | Fraction) -> int | Fraction:
-    """Exact Horner evaluation at an integer or rational point.
+def eval_exact(p: IntPolynomial, x: int | Fraction | float) -> int | Fraction | float:
+    """Horner evaluation, exact at an integer or rational point.
 
     ``Fraction(float_value)`` converts a float argument losslessly, so this
     doubles as an arbitrarily-accurate evaluator at floating-point points.
+    At a float point the same loop runs in floating point (:func:`eval_real`).
     """
     acc: int | Fraction = 0
     for c in reversed(p.coefficients):

@@ -5,20 +5,25 @@ module, which knows nothing about those closed forms: it finds roots by
 simultaneous (Aberth-Ehrlich) iteration and builds characteristic polynomials
 by the Faddeev-LeVerrier trace recursion.
 
-Double precision is enough for degrees up to roughly 12.  Beyond that the
+One Aberth iteration serves both arithmetics.  It starts from the companion
+matrix's eigenvalues and runs in Python complex, or, when the config sets a
+working precision in decimal digits, in mpmath on the exact coefficients.
+Double precision is enough for degrees up to roughly 12; beyond that the
 monomial basis becomes badly conditioned near the ends of the root interval
-(evaluation noise grows like 6**degree), so the config exposes a working
-precision in decimal digits; when set, the iteration runs in mpmath arithmetic
-on the exact coefficients.  Individual roots can also be polished after the
-fact with :func:`refine_root`.  Polishing runs Newton's method on the
-square-free part p / gcd(p, p') (:func:`square_free_part`), computed exactly:
-it has the same roots as p, all simple, so Newton converges quadratically
-even where p has a double or triple root.
+(evaluation noise grows like 6**degree).  Every evaluation goes through one
+Horner pass that also bounds its own rounding noise, and both the iteration
+and Newton polishing stop a root at that noise floor.  Individual roots can
+also be polished after the fact with :func:`refine_root`.  Polishing runs
+Newton's method on the square-free part p / gcd(p, p')
+(:func:`square_free_part`), computed exactly: it has the same roots as p, all
+simple, so Newton converges quadratically even where p has a double or
+triple root.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -49,7 +54,6 @@ class RootFinderConfig:
     convergence_tol: float = 1e-13
     max_iterations: int = 500
     imag_threshold: float = 1e-6
-    refine_suspicious: bool = True
     #: decimal digits for the iteration itself; None means double precision.
     working_dps: int | None = None
 
@@ -97,173 +101,127 @@ def _coefficients(p) -> tuple:
     return tuple(coeffs)
 
 
+def _horner(cs: Sequence, z):
+    """p(z), p'(z) and pbar(|z|) = sum |c_k| |z|**k in one synthetic-division pass.
+
+    ``cs`` holds ascending coefficients.  p and p' are computed in the
+    arithmetic of ``cs`` and ``z`` (Python float and complex, or mpmath under
+    its working precision); pbar only scales the rounding noise, so it is
+    accumulated in double.
+    """
+    az = float(abs(z))
+    pv, dv, pbar = cs[-1], 0, abs(float(cs[-1]))
+    for c in cs[-2::-1]:
+        dv = dv * z + pv
+        pv = pv * z + c
+        pbar = pbar * az + abs(float(c))
+    return pv, dv, pbar
+
+
+def _is_noise(pv, pbar, deg: int, eps) -> bool:
+    """True when |p(z)| is within the rounding noise of evaluating p at z.
+
+    Horner's rounding error is a small multiple of deg * eps * pbar(|z|),
+    and 4 (deg + 1) covers complex arithmetic; an overflowed pbar settles
+    nothing.
+    """
+    return abs(pv) <= 4 * (deg + 1) * eps * pbar < math.inf
+
+
 def _residuals(coeffs: tuple, roots: Sequence[complex]) -> tuple[float, ...]:
     deg = len(coeffs) - 1
     scale_base = sum(abs(c) for c in map(float, coeffs))
-    out = []
-    for z in roots:
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * z + complex(c)
-        out.append(abs(acc) / (scale_base * max(1.0, abs(z)) ** deg))
-    return tuple(out)
+    return tuple(abs(_horner(coeffs, z)[0]) / (scale_base * max(1.0, abs(z)) ** deg)
+                 for z in roots)
 
 
 def aberth_roots(p, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSet:
     """All complex roots of p by simultaneous Aberth-Ehrlich iteration.
 
-    Starting points sit on the circle of radius 1 + max|a_i/a_d| at equally
-    spaced angles with a half-step offset.  Iteration stops when every
-    correction falls below convergence_tol * max(1, |z|) or the residual hits
-    the evaluation-noise floor; hitting max_iterations instead reports
+    The starting points are the eigenvalues of the companion matrix
+    (``numpy.roots``), each nudged off the real axis by a different amount:
+    a conjugate-symmetric start set stays symmetric under the iteration and
+    can hold a conjugate pair on the real axis.  The iteration runs in double
+    precision, or in mpmath at ``cfg.working_dps`` digits on the exact
+    coefficients, from the same starts.  A root settles when its correction
+    falls below convergence_tol * max(1, |z|) or, once it has taken a step,
+    when |p(z)| reaches the evaluation-noise floor; hitting max_iterations, a
+    blow-up or a companion matrix that double precision cannot hold reports
     ``converged=False`` rather than returning silent garbage.
     """
     coeffs = _coefficients(p)
-    if cfg.working_dps is not None:
-        return _aberth_mp(coeffs, cfg)
-    return _aberth_double(coeffs, cfg)
-
-
-def _initial_circle(deg: int, radius: float) -> np.ndarray:
-    # the 2% radius taper breaks conjugate symmetry of the start set; real
-    # polynomials otherwise keep symmetric iterates locked together, which
-    # deadlocks a conjugate pair between two adjacent real roots
-    angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg
-    radii = radius * (1.0 + 0.02 * (np.arange(deg) + 1.0) / deg)
-    return radii * np.exp(1j * angles)
-
-
-def _fujiwara_radius(monic_abs: Sequence[float]) -> float:
-    """Fujiwara root bound for a monic polynomial, given |coefficients|.
-
-    Much tighter than the Cauchy bound 1 + max|a_i| when coefficients are
-    huge, which keeps the starting circle inside the range where double
-    Horner evaluation cannot overflow.
-    """
-    deg = len(monic_abs) - 1
-    terms = []
-    for k in range(1, deg + 1):
-        a = monic_abs[deg - k] / (2.0 if k == deg else 1.0)
-        if a > 0:
-            terms.append(a ** (1.0 / k))
-    return 2.0 * max(terms) if terms else 1.0
-
-
-def _aberth_double(coeffs: tuple, cfg: RootFinderConfig) -> ComplexRootSet:
-    monic = np.asarray(coeffs, dtype=np.complex128)
-    monic = monic / monic[-1]
-    deg = len(monic) - 1
-    deriv = monic[1:] * np.arange(1, deg + 1)
-    abs_monic = np.abs(monic)
-
-    if deg == 1:
-        z = np.array([-monic[0]])
+    starts = _companion_starts(coeffs)
+    if cfg.working_dps is None:
+        roots, converged = _aberth([float(c) for c in coeffs], starts, cfg.convergence_tol,
+                                   cfg.max_iterations, sys.float_info.epsilon)
     else:
-        z = _initial_circle(deg, _fujiwara_radius(abs_monic))
-
-    eps = np.finfo(np.float64).eps
-    converged = False
-    for _ in range(cfg.max_iterations):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            pv = np.zeros_like(z)
-            for c in monic[::-1]:
-                pv = pv * z + c
-            dv = np.zeros_like(z)
-            for c in deriv[::-1]:
-                dv = dv * z + c
-            # running magnitude of the evaluation, for the roundoff-noise floor
-            az = np.abs(z)
-            pbar = np.zeros_like(az)
-            for c in abs_monic[::-1]:
-                pbar = pbar * az + c
-            noise = 4.0 * (deg + 1) * eps * pbar
-            settled = np.isfinite(pbar) & (np.abs(pv) <= noise)
-
-            ratio = np.where(dv != 0, pv / np.where(dv != 0, dv, 1.0), 0.0)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            pair_sum = np.sum(1.0 / diff, axis=1)
-            w = ratio / (1.0 - ratio * pair_sum)
-        w = np.where(np.isfinite(w), w, ratio)
-        w = np.where(settled, 0.0, w)
-        z_next = z - w
-        if not np.all(np.isfinite(z_next)):
-            break  # blow-up: report non-convergence, never silent garbage
-        z = z_next
-        if np.all(settled | (np.abs(w) < cfg.convergence_tol * np.maximum(1.0, np.abs(z)))):
-            converged = True
-            break
-
-    roots = tuple(complex(v) for v in z)
+        with mpmath.workdps(cfg.working_dps):
+            roots, converged = _aberth([mpmath.mpf(c) for c in coeffs],
+                                       [mpmath.mpc(z) for z in starts],
+                                       mpmath.mpf(cfg.convergence_tol),
+                                       cfg.max_iterations, mpmath.mp.eps)
+    roots = tuple(complex(z) for z in roots)
     return ComplexRootSet(roots, _residuals(coeffs, roots), converged, coeffs)
 
 
-def _aberth_mp(coeffs: tuple, cfg: RootFinderConfig) -> ComplexRootSet:
-    deg = len(coeffs) - 1
-    # the double-precision result is inaccurate at high degree but is a fine
-    # warm start; fall back to the starting circle when it blew up
-    warm = _aberth_double(coeffs, RootFinderConfig(
-        convergence_tol=cfg.convergence_tol,
-        max_iterations=min(cfg.max_iterations, 200),
-        imag_threshold=cfg.imag_threshold,
-        refine_suspicious=False,
-    ))
-    warm_ok = all(
-        math.isfinite(v.real) and math.isfinite(v.imag) for v in warm.roots
-    ) and warm.converged
-    with mpmath.workdps(cfg.working_dps):
-        lead = mpmath.mpf(coeffs[-1])
-        cs = [mpmath.mpf(c) / lead for c in coeffs]
-        if warm_ok:
-            z = [mpmath.mpc(v) for v in warm.roots]
-        else:
-            radius = _fujiwara_radius([abs(c) for c in cs])
-            z = [
-                mpmath.mpc(radius) * (1 + mpmath.mpf(i + 1) / (50 * deg))
-                * mpmath.expjpi(mpmath.mpf(2 * i + 1) / deg)
-                for i in range(deg)
-            ]
-        tol = mpmath.mpf(cfg.convergence_tol)
-        active = list(range(deg))
-        converged = False
-        for _ in range(cfg.max_iterations):
-            corrections = {}
-            for i in active:
-                # synthetic division: p and p' in one pass
-                pv = mpmath.mpc(cs[-1])
-                dv = mpmath.mpc(0)
-                for c in cs[-2::-1]:
-                    dv = dv * z[i] + pv
-                    pv = pv * z[i] + c
-                if pv == 0:
-                    corrections[i] = mpmath.mpc(0)
-                    continue
-                if dv == 0:
-                    corrections[i] = mpmath.mpc(0)  # exact multiple-root hit
-                    continue
-                ratio = pv / dv
-                s = mpmath.mpc(0)
-                for j in range(deg):
-                    if j != i:
-                        s += 1 / (z[i] - z[j])
-                denom = 1 - ratio * s
-                corrections[i] = ratio / denom if denom != 0 else ratio
-            still = []
-            for i in active:
-                w = corrections[i]
-                zz = z[i] - w
-                if not (mpmath.isfinite(mpmath.re(zz)) and mpmath.isfinite(mpmath.im(zz))):
-                    still.append(i)  # keep iterating this one from its old value
-                    continue
-                z[i] = zz
-                if abs(w) >= tol * max(1, abs(zz)):
-                    still.append(i)
-            active = still
-            if not active:
-                converged = True
-                break
-        roots = tuple(complex(v) for v in z)
-    return ComplexRootSet(roots, _residuals(coeffs, roots), converged, coeffs)
+#: the smallest start nudge, relative to max(1, |z|): enough to leave the real
+#: axis, small enough that a simple root settles in two sweeps
+_START_NUDGE = 1e-10
+
+
+def _companion_starts(coeffs: tuple) -> list[complex]:
+    """Companion-matrix eigenvalues, start k moved up by (k + 1) nudges.
+
+    NaN starts stand for a companion matrix that double precision cannot hold.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            eigs = np.roots([float(c) for c in reversed(coeffs)])
+    except np.linalg.LinAlgError:  # coefficients overflow the companion matrix
+        return [complex(math.nan, math.nan)] * (len(coeffs) - 1)
+    return [complex(z) + 1j * _START_NUDGE * (k + 1) * max(1.0, abs(z))
+            for k, z in enumerate(eigs)]
+
+
+def _aberth(cs: Sequence, starts: Sequence, tol, max_iterations: int, eps):
+    """Aberth-Ehrlich iteration over the number type of ``cs`` and ``starts``.
+
+    Returns (roots, converged).  Corrections are applied in place, one root
+    at a time.  A root settles when its correction falls below
+    tol * max(1, |z|) or, from the second sweep on, when p(z) is zero to
+    working precision; a settled root stops moving but still repels the
+    others.  A non-finite iterate or two coinciding ones end the iteration
+    unconverged.
+    """
+    deg = len(cs) - 1
+    z = list(starts)
+    active = range(deg)
+    for sweep in range(max_iterations):
+        still = []
+        for i in active:
+            zi = z[i]
+            pv, dv, pbar = _horner(cs, zi)
+            # the starts are perturbed on purpose, so every root takes one
+            # step before the noise floor may settle it
+            if dv == 0 or (sweep and _is_noise(pv, pbar, deg, eps)):
+                continue
+            ratio = pv / dv
+            try:
+                s = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
+            except ZeroDivisionError:
+                return z, False
+            denom = 1 - ratio * s
+            w = ratio / denom if denom != 0 else ratio
+            zn = zi - w
+            if not abs(zn) < math.inf:
+                return z, False
+            z[i] = zn
+            if abs(w) >= tol * max(1, abs(zn)):
+                still.append(i)
+        active = still
+        if not active:
+            return z, True
+    return z, False
 
 
 def _primitive(a: list[int]) -> list[int]:
@@ -335,25 +293,24 @@ def refine_root(p, z: complex, dps: int = 60, max_steps: int = 90, *,
     square-free, so a caller refining many roots computes that part once.
     Evaluation uses the exact coefficients (integers, or floats converted
     losslessly), so split multiple roots collapse back onto the real axis
-    instead of stalling at the double-precision noise floor.  Divergence
-    returns the input unchanged with ``converged=False``.
+    instead of stalling at the double-precision noise floor.  Newton stops
+    when a step falls below 10**-(dps - 10) relative, or when |p(z)| reaches
+    the rounding noise of evaluating p at ``dps`` digits, the floor that
+    :func:`aberth_roots` uses; a degree-40 polynomial reaches that floor
+    before its steps get that small.  Divergence returns the input unchanged
+    with ``converged=False``.
     """
     coeffs = _coefficients(p) if square_free else square_free_part(p)
+    deg = len(coeffs) - 1
     with mpmath.workdps(dps):
         cs = [mpmath.mpf(c) for c in coeffs]
-        dcs = [cs[i] * i for i in range(1, len(cs))]
         zz = mpmath.mpc(z)
         stop = mpmath.mpf(10) ** (-(dps - 10))
         last_step = mpmath.mpf(1)
         for _ in range(max_steps):
-            pv = mpmath.mpc(0)
-            for c in reversed(cs):
-                pv = pv * zz + c
-            if pv == 0:
+            pv, dv, pbar = _horner(cs, zz)
+            if _is_noise(pv, pbar, deg, mpmath.mp.eps):
                 return RefinedRoot(complex(zz), True)
-            dv = mpmath.mpc(0)
-            for c in reversed(dcs):
-                dv = dv * zz + c
             if dv == 0 or not mpmath.isfinite(dv):
                 return RefinedRoot(z, False)
             step = pv / dv
@@ -458,7 +415,7 @@ def spectral_verdict(rootset: ComplexRootSet, cfg: RootFinderConfig = RootFinder
     q = None  # the square-free part, computed once a root needs refining
     for z in rootset.roots:
         ai = abs(z.imag)
-        if cfg.refine_suspicious and cfg.convergence_tol < ai <= SUSPICIOUS_IMAG_BAND:
+        if cfg.convergence_tol < ai <= SUSPICIOUS_IMAG_BAND:
             if q is None:
                 q = square_free_part(rootset.source)
             rr = refine_root(q, z, square_free=True)

@@ -72,6 +72,15 @@ class TestClassify:
         assert rec["numeric_essentially_cyclic"] is True
         assert rec["numeric_agrees"] is True
 
+    def test_numeric_single_gap_at_twenty_agrees(self, capsys):
+        # a real spectrum whose degree-20 monomial coefficients are badly
+        # conditioned near the top of the root interval
+        code, out, _ = run(capsys, "classify", "20", "0" + "1" * 19, "--numeric")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["numeric_essentially_cyclic"] is False
+        assert rec["numeric_agrees"] is True
+
     def test_numeric_non_convergence_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "RootFinderConfig",
                             lambda: RootFinderConfig(max_iterations=1))

@@ -8,6 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from ringspec import rootfind
+from ringspec.arborescence import path_matrix_spectrum
 from ringspec.polycore import IntPolynomial, poly_mul, poly_shift_const, z_poly
 from ringspec.ringgraph import RingDigraph, char_poly, laplacian
 from ringspec.rootfind import (
@@ -31,7 +33,6 @@ class TestConfig:
         assert CFG.convergence_tol == 1e-13
         assert CFG.max_iterations == 500
         assert CFG.imag_threshold == 1e-6
-        assert CFG.refine_suspicious is True
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -128,6 +129,46 @@ class TestAberth:
                           for k in range(1, n + 1))
         match_multisets(expected, rs.roots, 1e-12)
 
+    @pytest.mark.parametrize("dps, tol", [(None, 1e-8), (40, 1e-14)])
+    def test_conjugate_pair_between_adjacent_real_roots(self, dps, tol):
+        # (x-1)(x-3)(1e8 (x-2)^2 + 1): roots 1, 3 and 2 +- 1e-4 i
+        p = poly_mul(IntPolynomial([3, -4, 1]),
+                     IntPolynomial([4 * 10 ** 8 + 1, -4 * 10 ** 8, 10 ** 8]))
+        rs = aberth_roots(p, RootFinderConfig(working_dps=dps))
+        assert rs.converged
+        match_multisets([1, 3, 2 + 1e-4j, 2 - 1e-4j], rs.roots, tol)
+
+    def test_pair_below_double_resolution_leaves_the_real_axis(self):
+        # roots 1, 3 and 2 +- 1e-9 i: the companion eigenvalues of the pair
+        # come out real in double, and a conjugate-symmetric start set would
+        # hold the pair on the real axis at any working precision
+        p = poly_mul(IntPolynomial([3, -4, 1]),
+                     IntPolynomial([4 * 10 ** 18 + 1, -4 * 10 ** 18, 10 ** 18]))
+        rs = aberth_roots(p, RootFinderConfig(working_dps=40))
+        assert rs.converged
+        match_multisets([1, 3, 2 + 1e-9j, 2 - 1e-9j], rs.roots, 1e-14)
+
+    def test_double_and_working_precision_agree_on_small_rings(self):
+        # compared on square-free parts: double precision splits a double
+        # root by about sqrt(eps), so only simple roots can agree to 1e-9
+        seen = set()
+        for n in range(3, 9):
+            for bits in range(2 ** n):
+                g = RingDigraph(n, tuple(bool(bits >> j & 1) for j in range(n)))
+                q = square_free_part(char_poly(g))
+                if q in seen:
+                    continue
+                seen.add(q)
+                double = aberth_roots(q, CFG)
+                mp = aberth_roots(q, RootFinderConfig(working_dps=40))
+                assert double.converged and mp.converged, g.mask_string()
+                match_multisets(mp.roots, double.roots, 1e-9)
+
+    def test_coefficients_beyond_double_range_do_not_converge(self):
+        # the companion matrix holds -1e300 / 1e-10, which overflows
+        rs = aberth_roots([1e300, 0.0, 1e-10], CFG)
+        assert rs.converged is False
+
 
 class TestRefinement:
     def test_sqrt_two(self):
@@ -165,6 +206,26 @@ class TestRefinement:
         assert rr.converged
         assert abs(rr.value.imag) < 1e-40
         assert rr.value.real == pytest.approx(2.0, abs=1e-15)
+
+    def test_path_forty_roots_refine_in_few_evaluations(self, monkeypatch):
+        # at 60 digits the degree-40 evaluation noise keeps Newton's steps
+        # above the 1e-50 step rule; the noise-floor stop ends each root
+        poly, closed = path_matrix_spectrum(40)
+        rs = aberth_roots(poly, RootFinderConfig(working_dps=70))
+        q = square_free_part(poly)
+        calls = 0
+        horner = rootfind._horner
+
+        def counting_horner(cs, z):
+            nonlocal calls
+            calls += 1
+            return horner(cs, z)
+
+        monkeypatch.setattr(rootfind, "_horner", counting_horner)
+        refined = [refine_root(q, z, square_free=True) for z in rs.roots]
+        assert all(rr.converged for rr in refined)
+        assert calls <= 10 * len(refined)
+        match_multisets(closed, [rr.value for rr in refined], 1e-9)
 
     def test_refine_all_restores_split_doubles(self):
         # near-balanced two-gap digraph: all roots real, several double
