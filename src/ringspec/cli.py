@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -159,8 +160,9 @@ def _cmd_weighted(args) -> int:
         _emit({"p": args.p, "boundary": [y1, y2]}, args.json)
         return EXIT_OK
     if args.family == "c4":
-        if args.a_max <= 0 or args.x_max <= 0 or args.steps < 2:
-            raise ValueError("need positive a-max/x-max and steps >= 2")
+        grid_max = (args.a_max, args.x_max)
+        if not all(math.isfinite(v) and v > 0 for v in grid_max) or args.steps < 2:
+            raise ValueError("need finite positive a-max/x-max and steps >= 2")
         a_grid = np.linspace(0.0, args.a_max, args.steps)
         x_grid = np.linspace(0.0, args.x_max, args.steps)
         samples = weighted.c4_scan(a_grid.tolist(), x_grid.tolist())

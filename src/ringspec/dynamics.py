@@ -10,6 +10,7 @@ than spectral fitting at that length).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.step <= 0 or self.horizon <= 0:
-            raise ValueError("step and horizon must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.step, self.horizon)):
+            raise ValueError("step and horizon must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,8 @@ def _initial_state(cfg: SimConfig, n: int) -> np.ndarray:
         x0 = np.asarray(cfg.initial_state, dtype=np.float64)
         if x0.shape != (n,):
             raise ValueError(f"initial state must have length {n}, got {x0.shape}")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("initial state must be finite")
         return x0
     return np.random.default_rng(cfg.seed).standard_normal(n)
 

@@ -10,10 +10,14 @@ cycle.
 The central exact result implemented here: writing i_1, ..., i_K for the
 cyclic distances between the missing reverse arcs, the Laplacian
 characteristic polynomial is ``prod_k Z_{i_k}(x) - (-1)**n`` (with Z from
-:mod:`ringspec.polycore`), and the spectrum is completely real in exactly
-three shapes of mask: none missing, one missing, or two missing at (near-)
-maximal distance.  Everything else has a conjugate pair, with closed-form
-spectra wherever a formula exists.
+:mod:`ringspec.polycore`).  Because Z_i(x**2) = U_2i, substituting x**2
+gives ``prod_k U_{2 i_k} + (-1)**(n+1)``, so the classification is the
+by-product theorem on such products,
+:func:`ringspec.polycore.classify_product_real`, applied to the gaps: the
+spectrum is completely real in exactly three shapes of mask (one reverse
+arc missing, or two missing at (near-)maximal distance) besides the
+symmetric ring, and then known in closed form.  Only the two masks without
+gaps, the symmetric ring and the bare cycle, have their own formulas here.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from . import rootfind
-from .polycore import IntPolynomial, poly_shift_const, w_poly, z_poly
+from .polycore import IntPolynomial, classify_product_real, poly_shift_const, w_poly, z_poly
 from .rootfind import ComplexRootSet, RootFinderConfig
 
 CASE_FULL_CYCLE = "full-cycle"
@@ -144,74 +148,49 @@ def char_poly(g: RingDigraph) -> IntPolynomial:
 
 
 def closed_form_spectrum(g: RingDigraph) -> list[complex] | None:
-    """Closed-form Laplacian spectrum, where one exists.
+    """Closed-form Laplacian spectrum, where one exists (see :func:`classify_exact`)."""
+    spectrum = classify_exact(g).closed_form_spectrum
+    return None if spectrum is None else list(spectrum)
 
-    * K = n (bare cycle): 2*sin(pi*k/n)**2 + i*sin(2*pi*k/n), k = 1..n.
-    * K = 0 (symmetric ring): 4*sin(pi*k/n)**2, k = 0..n-1, the circulant
-      eigenvalues (the sum equals the trace 2n, which pins this form down).
-    * K = 1: 4*cos(pi*k/(2n+1-(-1)**(k+n)))**2, k = 1..n.
-    * K = 2 with equal gaps (n even): 4*cos(pi*k/n)**2 and
-      4*cos(pi*k/(n+2))**2, k = 1..n/2.
-    * K = 2 with gaps differing by one (n odd): 4*cos(pi*k/(n+1))**2,
-      k = 1..n.
 
-    Returns None for the essentially cyclic cases without a formula.
-    """
-    dec = decompose(g)
-    n = g.n
-    if dec.K == n:
-        return [
-            complex(2 * math.sin(math.pi * k / n) ** 2, math.sin(2 * math.pi * k / n))
-            for k in range(1, n + 1)
-        ]
-    if dec.K == 0:
-        return [complex(4 * math.sin(math.pi * k / n) ** 2, 0.0) for k in range(n)]
-    if dec.K == 1:
-        return [
-            complex(4 * math.cos(math.pi * k / (2 * n + 1 - (-1) ** (k + n))) ** 2, 0.0)
-            for k in range(1, n + 1)
-        ]
-    if dec.K == 2:
-        i1, i2 = dec.gaps
-        if i1 == i2:
-            half = n // 2
-            vals = [4 * math.cos(math.pi * k / n) ** 2 for k in range(1, half + 1)]
-            vals += [4 * math.cos(math.pi * k / (n + 2)) ** 2 for k in range(1, half + 1)]
-            return [complex(v, 0.0) for v in vals]
-        if abs(i1 - i2) == 1:
-            return [
-                complex(4 * math.cos(math.pi * k / (n + 1)) ** 2, 0.0)
-                for k in range(1, n + 1)
-            ]
-    return None
+#: case labels of :func:`ringspec.polycore.classify_product_real` for the
+#: three all-real gap shapes
+_REAL_CASES = {
+    "single-factor": CASE_SINGLE_GAP,
+    "equal-pair": CASE_BALANCED,
+    "adjacent-pair": CASE_NEAR_BALANCED,
+}
 
 
 def classify_exact(g: RingDigraph) -> Classification:
-    """Exact essential-cyclicity verdict from the gap decomposition alone.
+    """Exact essential-cyclicity verdict and closed-form spectrum from the gaps.
 
-    Rule table on (K, gaps): the spectrum is completely real exactly when
-    K = 0, K = 1, or K = 2 with gaps differing by at most one; every other
-    mask has a conjugate pair.  Closed-form spectra are attached wherever
-    :func:`closed_form_spectrum` has a formula.
+    * K = n (bare cycle): cyclic, 2*sin(pi*k/n)**2 + i*sin(2*pi*k/n),
+      k = 1..n.
+    * K = 0 (symmetric ring): real, 4*sin(pi*k/n)**2, k = 0..n-1, the
+      circulant eigenvalues (the sum equals the trace 2n, which pins this
+      form down).
+    * 1 <= K <= n-1: since Z_i(x**2) = U_2i, the characteristic polynomial
+      at x**2 is ``product_polynomial(gaps, (n + 1) % 2)``, and
+      :func:`ringspec.polycore.classify_product_real` decides it.  The
+      spectrum is real for one gap, or two gaps differing by at most one;
+      the eigenvalues are then the squares of the product's n largest
+      roots.  Every other mask has a conjugate pair and no formula.
     """
     dec = decompose(g)
     n = g.n
-    spectrum = closed_form_spectrum(g)
-    spec = tuple(spectrum) if spectrum is not None else None
-    if dec.K == 0:
-        return Classification(False, CASE_SYMMETRIC, spec)
     if dec.K == n:
-        return Classification(True, CASE_FULL_CYCLE, spec)
-    if dec.K == 1:
-        return Classification(False, CASE_SINGLE_GAP, spec)
-    if dec.K == 2:
-        i1, i2 = dec.gaps
-        if i1 == i2:
-            return Classification(False, CASE_BALANCED, spec)
-        if abs(i1 - i2) == 1:
-            return Classification(False, CASE_NEAR_BALANCED, spec)
-        return Classification(True, CASE_SPLIT, None)
-    return Classification(True, CASE_MULTI_GAP, None)
+        return Classification(True, CASE_FULL_CYCLE, tuple(
+            complex(2 * math.sin(math.pi * k / n) ** 2, math.sin(2 * math.pi * k / n))
+            for k in range(1, n + 1)))
+    if dec.K == 0:
+        return Classification(False, CASE_SYMMETRIC, tuple(
+            complex(4 * math.sin(math.pi * k / n) ** 2, 0.0) for k in range(n)))
+    verdict = classify_product_real(dec.gaps, (n + 1) % 2)
+    if not verdict.all_real:
+        return Classification(True, CASE_SPLIT if dec.K == 2 else CASE_MULTI_GAP)
+    return Classification(False, _REAL_CASES[verdict.case_label],
+                          tuple(complex(r * r, 0.0) for r in verdict.roots[n:]))
 
 
 def spectrum_numeric(g: RingDigraph, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSet:

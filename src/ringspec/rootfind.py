@@ -11,12 +11,12 @@ working precision in decimal digits, in mpmath on the exact coefficients.
 Double precision is enough for degrees up to roughly 12; beyond that the
 monomial basis becomes badly conditioned near the ends of the root interval
 (evaluation noise grows like 6**degree).  Every evaluation goes through one
-Horner pass that also bounds its own rounding noise, and both the iteration
-and Newton polishing stop a root at that noise floor.  Individual roots can
-also be polished after the fact with :func:`refine_root`.  Polishing runs
-Newton's method on the square-free part p / gcd(p, p')
-(:func:`square_free_part`), computed exactly: it has the same roots as p, all
-simple, so Newton converges quadratically even where p has a double or
+Horner pass that also bounds its own rounding noise, and the iteration stops
+a root at that noise floor.  Individual roots can also be polished after the
+fact with :func:`refine_root`: the same iteration from a single start, which
+is Newton's method, run on the square-free part p / gcd(p, p')
+(:func:`square_free_part`), computed exactly.  It has the same roots as p,
+all simple, so Newton converges quadratically even where p has a double or
 triple root.
 """
 
@@ -186,16 +186,18 @@ def _companion_starts(coeffs: tuple) -> list[complex]:
 def _aberth(cs: Sequence, starts: Sequence, tol, max_iterations: int, eps):
     """Aberth-Ehrlich iteration over the number type of ``cs`` and ``starts``.
 
-    Returns (roots, converged).  Corrections are applied in place, one root
-    at a time.  A root settles when its correction falls below
-    tol * max(1, |z|) or, from the second sweep on, when p(z) is zero to
-    working precision; a settled root stops moving but still repels the
-    others.  A non-finite iterate or two coinciding ones end the iteration
-    unconverged.
+    Returns (roots, converged).  The correction p / (p' - p * sum_j
+    1/(z_i - z_j)) is applied in place, one root at a time; with one start
+    there are no neighbours and it is Newton's step.  A root settles when its
+    correction falls below tol * max(1, |z|) or, from the second sweep on,
+    when p(z) is zero to working precision; a settled root stops moving but
+    still repels the others.  A root whose correction has a zero denominator
+    stays active.  A non-finite iterate or two coinciding ones end the
+    iteration unconverged.
     """
     deg = len(cs) - 1
     z = list(starts)
-    active = range(deg)
+    active = range(len(z))
     for sweep in range(max_iterations):
         still = []
         for i in active:
@@ -203,15 +205,17 @@ def _aberth(cs: Sequence, starts: Sequence, tol, max_iterations: int, eps):
             pv, dv, pbar = _horner(cs, zi)
             # the starts are perturbed on purpose, so every root takes one
             # step before the noise floor may settle it
-            if dv == 0 or (sweep and _is_noise(pv, pbar, deg, eps)):
+            if sweep and _is_noise(pv, pbar, deg, eps):
                 continue
-            ratio = pv / dv
             try:
                 s = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
             except ZeroDivisionError:
                 return z, False
-            denom = 1 - ratio * s
-            w = ratio / denom if denom != 0 else ratio
+            denom = dv - pv * s
+            if denom == 0:  # no step from here; the neighbours may move
+                still.append(i)
+                continue
+            w = pv / denom
             zn = zi - w
             if not abs(zn) < math.inf:
                 return z, False
@@ -293,35 +297,20 @@ def refine_root(p, z: complex, dps: int = 60, max_steps: int = 90, *,
     square-free, so a caller refining many roots computes that part once.
     Evaluation uses the exact coefficients (integers, or floats converted
     losslessly), so split multiple roots collapse back onto the real axis
-    instead of stalling at the double-precision noise floor.  Newton stops
-    when a step falls below 10**-(dps - 10) relative, or when |p(z)| reaches
-    the rounding noise of evaluating p at ``dps`` digits, the floor that
-    :func:`aberth_roots` uses; a degree-40 polynomial reaches that floor
-    before its steps get that small.  Divergence returns the input unchanged
-    with ``converged=False``.
+    instead of stalling at the double-precision noise floor.  The iteration
+    is :func:`aberth_roots`' own, from the single start z at ``dps`` digits:
+    it stops when a step falls below 10**-(dps - 10) relative, or when
+    |p(z)| reaches the rounding noise of evaluating p; a degree-40
+    polynomial reaches that floor before its steps get that small.
+    Divergence, a vanishing derivative or ``max_steps`` without settling
+    returns the input unchanged with ``converged=False``.
     """
     coeffs = _coefficients(p) if square_free else square_free_part(p)
-    deg = len(coeffs) - 1
     with mpmath.workdps(dps):
-        cs = [mpmath.mpf(c) for c in coeffs]
-        zz = mpmath.mpc(z)
-        stop = mpmath.mpf(10) ** (-(dps - 10))
-        last_step = mpmath.mpf(1)
-        for _ in range(max_steps):
-            pv, dv, pbar = _horner(cs, zz)
-            if _is_noise(pv, pbar, deg, mpmath.mp.eps):
-                return RefinedRoot(complex(zz), True)
-            if dv == 0 or not mpmath.isfinite(dv):
-                return RefinedRoot(z, False)
-            step = pv / dv
-            zz = zz - step
-            if not mpmath.isfinite(zz):
-                return RefinedRoot(z, False)
-            last_step = abs(step)
-            if last_step <= stop * max(1, abs(zz)):
-                return RefinedRoot(complex(zz), True)
-        ok = last_step <= mpmath.mpf(1e-12) * max(1, abs(zz))
-        return RefinedRoot(complex(zz) if ok else z, bool(ok))
+        (zz,), converged = _aberth([mpmath.mpf(c) for c in coeffs], [mpmath.mpc(z)],
+                                   mpmath.mpf(10) ** (-(dps - 10)), max_steps,
+                                   mpmath.mp.eps)
+        return RefinedRoot(complex(zz), True) if converged else RefinedRoot(z, False)
 
 
 def refine_all(rootset: ComplexRootSet, dps: int = 60) -> ComplexRootSet:

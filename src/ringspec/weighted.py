@@ -54,7 +54,10 @@ class WeightMatrix:
     w: tuple[tuple[float, ...], ...]
 
     def __init__(self, rows: Sequence[Sequence[float]]):
-        w = tuple(tuple(float(v) for v in row) for row in rows)
+        try:
+            w = tuple(tuple(float(v) for v in row) for row in rows)
+        except TypeError as exc:
+            raise ValueError(f"weights must be rows of numbers: {exc}") from None
         n = len(w)
         if any(len(row) != n for row in w):
             raise ValueError("weight matrix must be square")
@@ -193,8 +196,8 @@ def chorded_c4_boundary(p: float, accuracy: float = 1e-9) -> tuple[float, float]
     negative for all large y, and the right edge is reported as inf.  Raises
     :class:`BoundaryNotFoundError` when no sign change exists at all.
     """
-    if p <= 0:
-        raise ValueError(f"need p > 0, got {p}")
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"need a finite p > 0, got {p}")
     y_max = 4.0 * (p + 3)
     samples = 4096
     ys = [y_max * k / samples for k in range(1, samples + 1)]

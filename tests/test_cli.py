@@ -213,3 +213,21 @@ class TestSimulate:
     def test_unstable_step_exits_2(self, capsys):
         code, _, _ = run(capsys, "simulate", "4", "1111", "--step", "0.5")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("weighted", "k3", "--weights", "[1,2,3]"),
+    ("weighted", "k3", "--weights", "[[0,1,null],[0,0,1],[1,0,0]]"),
+    ("simulate", "3", "000", "--horizon", "inf"),
+    ("simulate", "3", "000", "--step", "nan"),
+    ("simulate", "3", "000", "--x0", "1,0,nan"),
+    ("weighted", "chorded-c4", "--p", "nan"),
+    ("weighted", "chorded-c4", "--p", "inf"),
+    ("weighted", "c4", "--a-max", "nan", "--steps", "3"),
+    ("weighted", "c4", "--x-max", "inf", "--steps", "3"),
+])
+def test_malformed_or_non_finite_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("invalid input:")
+    assert out == ""

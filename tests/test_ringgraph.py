@@ -36,6 +36,14 @@ from support import match_multisets, spectrum_tol
 CFG = RootFinderConfig()
 
 
+def assert_real_spectrum(expected, spectrum, n):
+    """A real spectrum equal to the expected values to 1e-12, as multisets."""
+    assert all(z.imag == 0 for z in spectrum), n
+    got = sorted(z.real for z in spectrum)
+    assert len(got) == len(expected) == n
+    assert max(abs(a - b) for a, b in zip(got, sorted(expected))) <= 1e-12, n
+
+
 def all_masks(n):
     for bits in range(2 ** n):
         yield tuple(bool((bits >> j) & 1) for j in range(n))
@@ -221,17 +229,23 @@ class TestClassifier:
         assert c3.case == CASE_MULTI_GAP and c3.essentially_cyclic
 
     def test_balanced_spectrum_formula(self):
-        g = RingDigraph.from_mask_string(10, "0111101111")
-        spec = classify_exact(g).closed_form_spectrum
-        expected = [4 * math.cos(math.pi * k / 10) ** 2 for k in range(1, 6)]
-        expected += [4 * math.cos(math.pi * k / 12) ** 2 for k in range(1, 6)]
-        match_multisets(expected, spec, 1e-12)
+        # gaps (n/2, n/2): 4cos^2(pi k/n) and 4cos^2(pi k/(n+2)), k = 1..n/2
+        for n in range(4, 241, 2):
+            mask = ["1"] * n
+            mask[0] = mask[n // 2] = "0"
+            g = RingDigraph.from_mask_string(n, "".join(mask))
+            expected = [4 * math.cos(math.pi * k / d) ** 2
+                        for d in (n, n + 2) for k in range(1, n // 2 + 1)]
+            assert_real_spectrum(expected, classify_exact(g).closed_form_spectrum, n)
 
     def test_near_balanced_spectrum_formula(self):
-        g = RingDigraph.from_mask_string(7, "1101110")
-        spec = classify_exact(g).closed_form_spectrum
-        expected = [4 * math.cos(math.pi * k / 8) ** 2 for k in range(1, 8)]
-        match_multisets(expected, spec, 1e-12)
+        # gaps ((n-1)/2, (n+1)/2): 4cos^2(pi k/(n+1)), k = 1..n
+        for n in range(3, 240, 2):
+            mask = ["1"] * n
+            mask[0] = mask[n // 2] = "0"
+            g = RingDigraph.from_mask_string(n, "".join(mask))
+            expected = [4 * math.cos(math.pi * k / (n + 1)) ** 2 for k in range(1, n + 1)]
+            assert_real_spectrum(expected, classify_exact(g).closed_form_spectrum, n)
 
     def test_spectrum_presence_matches_case(self):
         for n in (5, 8):
@@ -253,6 +267,14 @@ class TestClosedFormSpectra:
     def test_single_gap_n3(self):
         spec = closed_form_spectrum(RingDigraph.from_mask_string(3, "110"))
         match_multisets([3, 2, 0], spec, 1e-12)
+
+    def test_single_gap_formula(self):
+        # 4cos^2(pi k/(2n+1-(-1)^(k+n))), k = 1..n
+        for n in range(3, 241):
+            spec = closed_form_spectrum(RingDigraph(n, (True,) * (n - 1) + (False,)))
+            expected = [4 * math.cos(math.pi * k / (2 * n + 1 - (-1) ** (k + n))) ** 2
+                        for k in range(1, n + 1)]
+            assert_real_spectrum(expected, spec, n)
 
     def test_polar_form_of_bare_cycle(self):
         # modulus 2sin(pi k/n), argument pi(1/2 - k/n)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath
@@ -169,6 +170,14 @@ class TestAberth:
         rs = aberth_roots([1e300, 0.0, 1e-10], CFG)
         assert rs.converged is False
 
+    def test_start_at_a_critical_point_keeps_moving(self):
+        # p'(0) = 0 for x^3 + 1, where p(0) = 1: the root at 0 is not settled
+        roots, converged = rootfind._aberth([1.0, 0.0, 0.0, 1.0], [0j, 5 + 0j, -3j],
+                                            1e-13, 500, np.finfo(float).eps)
+        assert converged
+        match_multisets([-1, cmath.exp(1j * math.pi / 3), cmath.exp(-1j * math.pi / 3)],
+                        roots, 1e-12)
+
 
 class TestRefinement:
     def test_sqrt_two(self):
@@ -226,6 +235,11 @@ class TestRefinement:
         assert all(rr.converged for rr in refined)
         assert calls <= 10 * len(refined)
         match_multisets(closed, [rr.value for rr in refined], 1e-9)
+
+    def test_zero_derivative_without_a_root_stays_unconverged(self):
+        # x^2 + 1 at 0: Newton has no step and 0 is not a root
+        rr = refine_root(IntPolynomial([1, 0, 1]), 0j)
+        assert rr == (0j, False)
 
     def test_refine_all_restores_split_doubles(self):
         # near-balanced two-gap digraph: all roots real, several double
