@@ -116,6 +116,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_trees(args) -> int:
+    if args.i is not None and args.mask is not None:
+        raise ValueError("give a mask or --i, not both")
     if args.i is not None:
         payload = {"n": args.n, "i": args.i,
                    "t": arborescence.tree_count_formula(args.n, args.i)}

@@ -193,13 +193,15 @@ def _aberth(cs: Sequence, starts: Sequence, tol, max_iterations: int, eps):
     when p(z) is zero to working precision; a settled root stops moving but
     still repels the others.  A root whose correction has a zero denominator
     stays active.  A non-finite iterate or two coinciding ones end the
-    iteration unconverged.
+    iteration unconverged, and so does a sweep after the first that moves no
+    root while some stay active: the next sweep would repeat it exactly.
     """
     deg = len(cs) - 1
     z = list(starts)
     active = range(len(z))
     for sweep in range(max_iterations):
         still = []
+        moved = False
         for i in active:
             zi = z[i]
             pv, dv, pbar = _horner(cs, zi)
@@ -220,11 +222,14 @@ def _aberth(cs: Sequence, starts: Sequence, tol, max_iterations: int, eps):
             if not abs(zn) < math.inf:
                 return z, False
             z[i] = zn
+            moved = True
             if abs(w) >= tol * max(1, abs(zn)):
                 still.append(i)
         active = still
         if not active:
             return z, True
+        if sweep and not moved:
+            return z, False
     return z, False
 
 
@@ -371,7 +376,8 @@ def char_poly_float(matrix) -> list[float]:
     """Faddeev-LeVerrier in floating point, for real (weighted) matrices.
 
     Accurate far below the test tolerances for the n <= 8 sizes it serves.
-    Returns ascending coefficients of the monic characteristic polynomial.
+    Returns ascending coefficients of the monic characteristic polynomial;
+    raises ValueError when one of them overflows double precision.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -380,11 +386,14 @@ def char_poly_float(matrix) -> list[float]:
     aux = np.eye(n)
     cs = [0.0] * (n + 1)
     cs[n] = 1.0
-    for k in range(1, n + 1):
-        prod = m @ aux
-        ck = -np.trace(prod) / k
-        cs[n - k] = float(ck)
-        aux = prod + ck * np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            prod = m @ aux
+            ck = -np.trace(prod) / k
+            cs[n - k] = float(ck)
+            aux = prod + ck * np.eye(n)
+    if not all(math.isfinite(c) for c in cs):
+        raise ValueError("characteristic polynomial overflows double precision")
     return cs
 
 

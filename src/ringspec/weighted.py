@@ -67,6 +67,10 @@ class WeightMatrix:
                     raise ValueError(f"weight ({i},{j}) must be finite and >= 0, got {v}")
             if row[i] != 0:
                 raise ValueError(f"diagonal entry ({i},{i}) must be zero")
+            # the Laplacian row holds the weight sum once on the diagonal and
+            # every weight once off it
+            if not math.isfinite(2 * sum(row)):
+                raise ValueError(f"Laplacian row {i} overflows: weights sum to {sum(row)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "w", w)
 
@@ -141,9 +145,18 @@ def k3_classify(wm: WeightMatrix) -> bool:
 
 
 def cubic_discriminant(b, c, d):
-    """Discriminant of the monic cubic t**3 + b t**2 + c t + d."""
-    return (18 * b * c * d - 4 * b ** 3 * d + b * b * c * c
-            - 4 * c ** 3 - 27 * d * d)
+    """Discriminant of the monic cubic t**3 + b t**2 + c t + d.
+
+    Raises ValueError when float coefficients make it overflow.
+    """
+    try:
+        disc = (18 * b * c * d - 4 * b ** 3 * d + b * b * c * c
+                - 4 * c ** 3 - 27 * d * d)
+    except OverflowError:
+        disc = math.nan
+    if isinstance(disc, float) and not math.isfinite(disc):
+        raise ValueError(f"cubic discriminant overflows at b={b}, c={c}, d={d}")
+    return disc
 
 
 # -- 4-cycle with a shortcut arc ---------------------------------------------

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
+from ringspec import arborescence
 from ringspec.arborescence import (
     ArborescenceCount,
     bareiss_determinant,
@@ -99,6 +101,106 @@ class TestCofactorCounts:
                 for root in range(1, n + 1):
                     assert brute_force_count(g, root) == c.per_root[root - 1], (
                         n, mask, root)
+
+
+def minor_counts(lap):
+    """Per-root counts as n separate principal minors (the O(n^4) route)."""
+    n = len(lap)
+    return tuple(
+        bareiss_determinant([[lap[i][j] for j in range(n) if j != v]
+                             for i in range(n) if i != v])
+        for v in range(n))
+
+
+def arc_laplacian(n, arc_list):
+    lap = [[0] * n for _ in range(n)]
+    for u, v in arc_list:
+        lap[u - 1][u - 1] += 1
+        lap[u - 1][v - 1] -= 1
+    return lap
+
+
+class TestOneSolve:
+    def test_equals_the_minors_on_every_mask(self):
+        for n in range(3, 10):
+            for bits in range(2 ** n):
+                lap = laplacian(RingDigraph(n, tuple(bool((bits >> j) & 1)
+                                                     for j in range(n))))
+                assert count_by_cofactor(lap).per_root == minor_counts(lap), (n, bits)
+
+    def test_equals_the_minors_on_random_laplacians(self):
+        rng = random.Random(7)
+        with_zero = 0
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            density = rng.choice((0.2, 0.4, 0.7))
+            weights = [[rng.randint(1, 3) if j != i and rng.random() < density else 0
+                        for j in range(n)] for i in range(n)]
+            lap = [[sum(weights[i]) if i == j else -weights[i][j] for j in range(n)]
+                   for i in range(n)]
+            counts = count_by_cofactor(lap)
+            assert counts.per_root == minor_counts(lap), lap
+            assert counts.total == sum(counts.per_root)
+            with_zero += 0 in counts.per_root
+        assert 20 <= with_zero <= 180
+
+    def test_zero_minor_at_the_last_root_moves_to_the_next(self):
+        arc_list = [(3, 1), (2, 1), (1, 2)]
+        lap = arc_laplacian(3, arc_list)
+        assert bareiss_determinant([row[:2] for row in lap[:2]]) == 0
+        assert count_by_cofactor(lap) == ArborescenceCount((1, 1, 0), 2)
+        assert [brute_force_count(arc_list, r, n=3) for r in (1, 2, 3)] == [1, 1, 0]
+
+    def test_no_root_at_all_gives_zeros(self):
+        # two sinks: no spanning converging tree anywhere
+        lap = arc_laplacian(3, [(3, 1)])
+        assert count_by_cofactor(lap) == ArborescenceCount((0, 0, 0), 0)
+
+    def test_one_elimination_per_ring_digraph(self, monkeypatch):
+        calls = 0
+        eliminate = arborescence._bareiss_eliminate
+
+        def counting(m, size):
+            nonlocal calls
+            calls += 1
+            return eliminate(m, size)
+
+        monkeypatch.setattr(arborescence, "_bareiss_eliminate", counting)
+        for n in range(3, 10):
+            for bits in range(2 ** n):
+                calls = 0
+                count_by_cofactor(laplacian(RingDigraph(
+                    n, tuple(bool((bits >> j) & 1) for j in range(n)))))
+                assert calls == 1, (n, bits)
+
+    def test_symmetric_ring_and_bare_cycle_up_to_120(self):
+        for n in list(range(3, 41)) + [60, 80, 100, 120]:
+            sym = count_by_cofactor(laplacian(RingDigraph(n, (True,) * n)))
+            assert sym == ArborescenceCount((n,) * n, n * n), n
+            bare = count_by_cofactor(laplacian(RingDigraph(n, (False,) * n)))
+            assert bare == ArborescenceCount((1,) * n, n), n
+
+    def test_two_gap_totals_at_fifty_and_eighty(self):
+        for n in (50, 80):
+            for i in range(1, n):
+                total = count_by_cofactor(laplacian(two_gap_digraph(n, i))).total
+                assert total == tree_count_formula(n, i), (n, i)
+
+    def test_a_count_off_the_left_kernel_raises(self, monkeypatch):
+        solve = arborescence._counts_from_root
+
+        def off_by_one(rows, v):
+            counts = solve(rows, v)
+            counts[0] += 1
+            return counts
+
+        monkeypatch.setattr(arborescence, "_counts_from_root", off_by_one)
+        with pytest.raises(ArithmeticError):
+            count_by_cofactor(laplacian(two_gap_digraph(6, 2)))
+
+    def test_single_vertex_and_empty_matrix(self):
+        assert count_by_cofactor([[0]]) == ArborescenceCount((1,), 1)
+        assert count_by_cofactor([]) == ArborescenceCount((), 0)
 
 
 class TestClosedForm:

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ringspec
 from ringspec import cli
 from ringspec.cli import main
 from ringspec.rootfind import RootFinderConfig
@@ -152,6 +157,12 @@ class TestTrees:
         code, _, _ = run(capsys, "trees", "4")
         assert code == 2
 
+    def test_mask_and_closed_form_together_exit_2(self, capsys):
+        code, out, err = run(capsys, "trees", "5", "11111", "--i", "2")
+        assert code == 2
+        assert err.startswith("invalid input:")
+        assert out == ""
+
 
 class TestWeighted:
     def test_k3_flat_weights(self, capsys):
@@ -225,9 +236,27 @@ class TestSimulate:
     ("weighted", "chorded-c4", "--p", "inf"),
     ("weighted", "c4", "--a-max", "nan", "--steps", "3"),
     ("weighted", "c4", "--x-max", "inf", "--steps", "3"),
+    ("weighted", "chorded-c4", "--p", "1e300"),
+    ("weighted", "c4", "--a-max", "1e300", "--steps", "2"),
+    ("weighted", "k3", "--weights", "[1e308,1e308,1e308,0,0,0]"),
+    ("weighted", "k3", "--weights", "[1e110,1e110,1e110,0,0,0]"),
 ])
 def test_malformed_or_non_finite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("invalid input:")
     assert out == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(ringspec.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ringspec", "trees", "4", "1010"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["per_root"] == [1, 2, 1, 2]
+
+
+def test_importing_the_main_module_runs_nothing():
+    assert importlib.import_module("ringspec.__main__").main is main

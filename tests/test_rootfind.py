@@ -241,6 +241,21 @@ class TestRefinement:
         rr = refine_root(IntPolynomial([1, 0, 1]), 0j)
         assert rr == (0j, False)
 
+    def test_stuck_start_gives_up_after_one_repeated_sweep(self, monkeypatch):
+        # a lone start with p' = 0 never moves, so a second sweep that moves
+        # nothing ends the iteration instead of spending all max_steps
+        calls = 0
+        horner = rootfind._horner
+
+        def counting_horner(cs, z):
+            nonlocal calls
+            calls += 1
+            return horner(cs, z)
+
+        monkeypatch.setattr(rootfind, "_horner", counting_horner)
+        assert refine_root(IntPolynomial([1, 0, 1]), 0j) == (0j, False)
+        assert calls <= 2
+
     def test_refine_all_restores_split_doubles(self):
         # near-balanced two-gap digraph: all roots real, several double
         g = RingDigraph.from_mask_string(9, "111011110")
