@@ -2,8 +2,9 @@
 
 Verdicts go to stdout as JSON, grids and trajectories as CSV with a declared
 header; diagnostics go to stderr.  Exit codes: 0 success, 1 the analysis was
-ambiguous, the numeric oracle did not converge, or a disagreement was found
-(``scan``, ``classify --numeric``), 2 invalid input.
+ambiguous, the numeric oracle did not converge, a boundary search found no
+sign change (``weighted chorded-c4``), or a disagreement was found (``scan``,
+``classify --numeric``), 2 invalid input.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def main(argv=None) -> int:
     except AmbiguousSpectrumError as exc:
         print(f"ambiguous: {exc}", file=sys.stderr)
         return EXIT_AMBIGUOUS
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, weighted.BoundaryNotFoundError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_AMBIGUOUS
     except (ValueError, json.JSONDecodeError) as exc:

@@ -7,8 +7,9 @@ by the Faddeev-LeVerrier trace recursion.
 
 One Aberth iteration serves both arithmetics.  It starts from the companion
 matrix's eigenvalues and runs in Python complex, or, when the config sets a
-working precision in decimal digits, in mpmath on the exact coefficients.
-Double precision is enough for degrees up to roughly 12; beyond that the
+working precision in decimal digits, in mpmath on each factor of the exact
+square-free factorization (Yun's algorithm), so that every root it solves
+for is simple.  Double precision is enough for degrees up to roughly 12; beyond that the
 monomial basis becomes badly conditioned near the ends of the root interval
 (evaluation noise grows like 6**degree).  Every evaluation goes through one
 Horner pass that also bounds its own rounding noise, and the iteration stops
@@ -17,7 +18,8 @@ fact with :func:`refine_root`: the same iteration from a single start, which
 is Newton's method, run on the square-free part p / gcd(p, p')
 (:func:`square_free_part`), computed exactly.  It has the same roots as p,
 all simple, so Newton converges quadratically even where p has a double or
-triple root.
+triple root.  Roots found in mpmath start their polishing with all their
+digits.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
 import mpmath
@@ -72,13 +75,16 @@ class ComplexRootSet:
 
     ``residuals[i]`` is |p(z_i)| / (sum|a_k| * max(1,|z_i|)**degree).  The
     originating coefficients (ascending) ride along so that later refinement
-    does not need a second argument.
+    does not need a second argument, and so do the unrounded roots of the
+    mpmath route, from which refinement starts.
     """
 
     roots: tuple[complex, ...]
     residuals: tuple[float, ...]
     converged: bool
     source: tuple = field(default=(), repr=False)
+    #: the roots at the working precision that found them (mpmath route only)
+    working: tuple = field(default=(), repr=False, compare=False)
 
     def max_abs_imag(self) -> float:
         return max(abs(z.imag) for z in self.roots)
@@ -142,26 +148,35 @@ def aberth_roots(p, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSe
     (``numpy.roots``), each nudged off the real axis by a different amount:
     a conjugate-symmetric start set stays symmetric under the iteration and
     can hold a conjugate pair on the real axis.  The iteration runs in double
-    precision, or in mpmath at ``cfg.working_dps`` digits on the exact
-    coefficients, from the same starts.  A root settles when its correction
-    falls below convergence_tol * max(1, |z|) or, once it has taken a step,
-    when |p(z)| reaches the evaluation-noise floor; hitting max_iterations, a
+    precision, or in mpmath at ``cfg.working_dps`` digits.  The mpmath route
+    solves each factor of :func:`_square_free_factors` from its own companion
+    eigenvalues and repeats each root by its multiplicity, since Aberth
+    converges only linearly on a repeated root; it keeps its roots at working
+    precision in ``working``.  A root settles when its correction falls
+    below convergence_tol * max(1, |z|) or, once it has taken a step, when
+    |p(z)| reaches the evaluation-noise floor; hitting max_iterations, a
     blow-up or a companion matrix that double precision cannot hold reports
     ``converged=False`` rather than returning silent garbage.
     """
     coeffs = _coefficients(p)
-    starts = _companion_starts(coeffs)
     if cfg.working_dps is None:
-        roots, converged = _aberth([float(c) for c in coeffs], starts, cfg.convergence_tol,
-                                   cfg.max_iterations, sys.float_info.epsilon)
+        roots, converged = _aberth([float(c) for c in coeffs], _companion_starts(coeffs),
+                                   cfg.convergence_tol, cfg.max_iterations,
+                                   sys.float_info.epsilon)
+        working = ()
     else:
+        working, converged = [], True
         with mpmath.workdps(cfg.working_dps):
-            roots, converged = _aberth([mpmath.mpf(c) for c in coeffs],
-                                       [mpmath.mpc(z) for z in starts],
-                                       mpmath.mpf(cfg.convergence_tol),
-                                       cfg.max_iterations, mpmath.mp.eps)
+            for factor, multiplicity in _square_free_factors(coeffs):
+                zs, ok = _aberth([mpmath.mpf(c) for c in factor],
+                                 [mpmath.mpc(z) for z in _companion_starts(factor)],
+                                 mpmath.mpf(cfg.convergence_tol), cfg.max_iterations,
+                                 mpmath.mp.eps)
+                working += [z for z in zs for _ in range(multiplicity)]
+                converged = converged and ok
+        roots = working = tuple(working)
     roots = tuple(complex(z) for z in roots)
-    return ComplexRootSet(roots, _residuals(coeffs, roots), converged, coeffs)
+    return ComplexRootSet(roots, _residuals(coeffs, roots), converged, coeffs, working)
 
 
 #: the smallest start nudge, relative to max(1, |z|): enough to leave the real
@@ -177,7 +192,7 @@ def _companion_starts(coeffs: tuple) -> list[complex]:
     try:
         with np.errstate(all="ignore"):
             eigs = np.roots([float(c) for c in reversed(coeffs)])
-    except np.linalg.LinAlgError:  # coefficients overflow the companion matrix
+    except (np.linalg.LinAlgError, OverflowError):  # beyond double range
         return [complex(math.nan, math.nan)] * (len(coeffs) - 1)
     return [complex(z) + 1j * _START_NUDGE * (k + 1) * max(1.0, abs(z))
             for k, z in enumerate(eigs)]
@@ -271,26 +286,75 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def square_free_part(p) -> tuple:
-    """p / gcd(p, p'): the same roots as p, each of them simple.
+def _integer_coefficients(p) -> tuple[tuple, list[int]]:
+    """p's coefficients and their primitive integer multiple.
 
-    Exact throughout: float coefficients are converted losslessly through
-    ``Fraction``, and the gcd is the last nonzero term of a primitive integer
-    polynomial remainder sequence.  A square-free p comes back unchanged;
-    otherwise the result has primitive integer coefficients (ascending) with
-    a positive leading one.
+    Float coefficients are converted losslessly through ``Fraction``.
     """
     coeffs = _coefficients(p)
     fracs = [Fraction(c) for c in coeffs]
     den = math.lcm(*(f.denominator for f in fracs))
-    ints = _primitive([int(f * den) for f in fracs])
-    a, b = ints, _primitive([i * c for i, c in enumerate(ints)][1:])
+    return coeffs, _primitive([int(f * den) for f in fracs])
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of a and a primitive b of lower degree.
+
+    The last nonzero term of the primitive remainder sequence; [1] when the
+    sequence ends in a constant.
+    """
     while len(b) > 1:
         r = _pseudo_remainder(a, b)
         if not r:
-            return tuple(_exact_quotient(ints, b))
+            return b
         a, b = b, _primitive(r)
-    return coeffs
+    return [1]
+
+
+def square_free_part(p) -> tuple:
+    """p / gcd(p, p'): the same roots as p, each of them simple.
+
+    Exact throughout (see :func:`_integer_coefficients` and :func:`_gcd`).  A
+    square-free p comes back unchanged; otherwise the result has primitive
+    integer coefficients (ascending) with a positive leading one.
+    """
+    coeffs, ints = _integer_coefficients(p)
+    g = _gcd(ints, _primitive(_derivative(ints)))
+    return coeffs if len(g) == 1 else tuple(_exact_quotient(ints, g))
+
+
+def _square_free_factors(p) -> list[tuple[list[int], int]]:
+    """Yun's square-free factorization: [(a_k, k)] with p = c * prod a_k**k.
+
+    Each a_k is square-free, primitive, of positive leading coefficient and
+    of degree >= 1, and the a_k are pairwise coprime, so every root of p is
+    a simple root of exactly one a_k and k is its multiplicity.  With
+    b_1 = p / g, c_1 = p' / g for g = gcd(p, p'), each step takes
+    d_k = c_k - b_k', a_k = gcd(b_k, d_k), b_{k+1} = b_k / a_k and
+    c_{k+1} = d_k / a_k until b is constant (Yun, SYMSAC 1976).  b and c are
+    divided by the same polynomials, so they keep a common scale and d_k is
+    exact; by Gauss's lemma every quotient has integer coefficients.
+    """
+    _, b = _integer_coefficients(p)
+    c = _derivative(b)
+    g = _gcd(b, _primitive(c))
+    b, c = _exact_quotient(b, g), _exact_quotient(c, g)
+    factors = []
+    k = 1
+    while len(b) > 1:
+        d = [x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)]
+        while d and d[-1] == 0:
+            d.pop()
+        a = _gcd(b, _primitive(d)) if d else b
+        if len(a) > 1:
+            factors.append((a, k))
+        b, c = _exact_quotient(b, a), _exact_quotient(d, a)
+        k += 1
+    return factors
 
 
 def refine_root(p, z: complex, dps: int = 60, max_steps: int = 90, *,
@@ -303,27 +367,32 @@ def refine_root(p, z: complex, dps: int = 60, max_steps: int = 90, *,
     Evaluation uses the exact coefficients (integers, or floats converted
     losslessly), so split multiple roots collapse back onto the real axis
     instead of stalling at the double-precision noise floor.  The iteration
-    is :func:`aberth_roots`' own, from the single start z at ``dps`` digits:
-    it stops when a step falls below 10**-(dps - 10) relative, or when
-    |p(z)| reaches the rounding noise of evaluating p; a degree-40
-    polynomial reaches that floor before its steps get that small.
+    is :func:`aberth_roots`' own, from the single start z at ``dps`` digits
+    (z may be an mpmath number, which keeps its extra digits): it stops when
+    a step falls below 10**-(dps - 10) relative, or when |p(z)| reaches the
+    rounding noise of evaluating p; a degree-40 polynomial reaches that
+    floor before its steps get that small.
     Divergence, a vanishing derivative or ``max_steps`` without settling
-    returns the input unchanged with ``converged=False``.
+    returns the input, as a complex, with ``converged=False``.
     """
     coeffs = _coefficients(p) if square_free else square_free_part(p)
     with mpmath.workdps(dps):
         (zz,), converged = _aberth([mpmath.mpf(c) for c in coeffs], [mpmath.mpc(z)],
                                    mpmath.mpf(10) ** (-(dps - 10)), max_steps,
                                    mpmath.mp.eps)
-        return RefinedRoot(complex(zz), True) if converged else RefinedRoot(z, False)
+        return RefinedRoot(complex(zz), True) if converged else RefinedRoot(complex(z), False)
 
 
 def refine_all(rootset: ComplexRootSet, dps: int = 60) -> ComplexRootSet:
-    """Newton-polish every root of a converged root set on its square-free part."""
+    """Newton-polish every root of a converged root set on its square-free part.
+
+    Newton starts from the working-precision roots when the set carries
+    them, so digits already found are not won back step by step.
+    """
     q = square_free_part(rootset.source)
     refined = []
-    for z in rootset.roots:
-        rr = refine_root(q, z, dps=dps, square_free=True)
+    for z, start in zip(rootset.roots, rootset.working or rootset.roots):
+        rr = refine_root(q, start, dps=dps, square_free=True)
         refined.append(rr.value if rr.converged else z)
     roots = tuple(refined)
     return ComplexRootSet(roots, _residuals(rootset.source, roots),

@@ -235,6 +235,8 @@ def _bisect(fn, lo: float, hi: float, accuracy: float) -> float:
     flo = fn(lo)
     while hi - lo > accuracy:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent doubles: the bracket cannot shrink
+            break
         fm = fn(mid)
         if fm == 0:
             return mid

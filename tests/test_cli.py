@@ -195,6 +195,14 @@ class TestWeighted:
         assert rec["boundary"][0] == pytest.approx(0.266, abs=0.002)
         assert rec["boundary"][1] == pytest.approx(2.441, abs=0.002)
 
+    def test_chorded_boundary_not_found_exits_1(self, capsys):
+        # at p = 1e-300 the sampled discriminant never changes sign
+        code, out, err = run(capsys, "weighted", "chorded-c4", "--p", "1e-300")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numeric failure:")
+        assert err.count("\n") == 1
+
     def test_c4_csv(self, capsys):
         code, out, _ = run(capsys, "weighted", "c4", "--a-max", "12",
                            "--x-max", "12", "--steps", "5")

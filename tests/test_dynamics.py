@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -94,8 +95,73 @@ class TestSimulate:
         e2 = np.linalg.norm(ref[0.01] - ref[0.005])
         assert e1 / e2 >= 8.0
 
+    def test_divergence_reports_its_step(self):
+        # a zero-row-sum matrix with a negative diagonal passes the stability
+        # check, and x_1 grows by the RK4 factor of dx/dt = x each step until
+        # it passes the largest double, with no overflow warning on the way
+        h, x0 = 0.02, 1e300
+        growth = 1 + h + h ** 2 / 2 + h ** 3 / 6 + h ** 4 / 24
+        step = math.ceil(math.log(sys.float_info.max / x0) / math.log(growth))
+        cfg = SimConfig(step=h, horizon=30.0, initial_state=(x0, 0.0))
+        with pytest.raises(FloatingPointError, match=f"at step {step}$"):
+            simulate([[-1.0, 1.0], [0.0, 0.0]], cfg)
+
+    def test_matches_stage_by_stage_rk4(self):
+        # the one-matrix step against the four classical stages
+        rng = np.random.default_rng(5)
+        masks = [(n, bits) for n in range(3, 11)
+                 for bits in (0, 2 ** n - 1, 2 ** n - 2, int(rng.integers(2 ** n)))]
+        for n, bits in masks:
+            mat = np.array(laplacian(RingDigraph(n, tuple(bool(bits >> j & 1)
+                                                        for j in range(n)))), dtype=float)
+            cfg = SimConfig(step=0.02, horizon=30.0, seed=n)
+            traj = simulate(mat, cfg)
+            x, h = traj.states[0], cfg.step
+            expected = [x]
+            for _ in range(len(traj.times) - 1):
+                k1 = -(mat @ x)
+                k2 = -(mat @ (x + 0.5 * h * k1))
+                k3 = -(mat @ (x + 0.5 * h * k2))
+                k4 = -(mat @ (x + h * k3))
+                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                expected.append(x)
+            assert np.abs(traj.states - np.array(expected)).max() <= 1e-12, (n, bits)
+
+
+def _crossing_frequency_loop(traj: Trajectory) -> float | None:
+    """The per-sample zero-crossing estimate, written out as a loop."""
+    y = traj.observable - traj.observable[-1]
+    t = traj.times
+    crossings = []
+    for i in range(len(y) - 1):
+        if y[i] == 0.0:
+            continue
+        if (y[i] > 0) != (y[i + 1] > 0) and y[i + 1] != 0.0:
+            frac = y[i] / (y[i] - y[i + 1])
+            crossings.append(t[i] + frac * (t[i + 1] - t[i]))
+    if len(crossings) < 3:
+        return None
+    return float(np.pi / np.diff(crossings).mean())
+
 
 class TestDominantFrequency:
+    def test_same_crossings_as_the_per_sample_loop(self):
+        # bit for bit, including samples that are exactly zero
+        t = np.arange(0, 12.0, 0.25)
+        y = np.round(np.cos(2.0 * t) * 4) / 4
+        trajs = [Trajectory(t, np.zeros((len(t), 1)), y)]
+        for n in range(3, 11):
+            for bits in (0, 1, 2 ** n - 2):
+                g = RingDigraph(n, tuple(bool(bits >> j & 1) for j in range(n)))
+                trajs.append(simulate(laplacian(g), SimConfig(seed=n)))
+        assert np.count_nonzero(y - y[-1] == 0) > 3
+        found = 0
+        for traj in trajs:
+            freq = dominant_frequency(traj)
+            assert freq == _crossing_frequency_loop(traj)
+            found += freq is not None
+        assert found >= 8
+
     def test_synthetic_damped_sinusoid(self):
         t = np.arange(0, 12.0, 0.02)
         y = np.exp(-t) * np.cos(2.0 * t)

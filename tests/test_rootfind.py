@@ -12,7 +12,7 @@ import pytest
 from ringspec import rootfind
 from ringspec.arborescence import path_matrix_spectrum
 from ringspec.polycore import IntPolynomial, poly_mul, poly_shift_const, z_poly
-from ringspec.ringgraph import RingDigraph, char_poly, laplacian
+from ringspec.ringgraph import RingDigraph, char_poly, closed_form_spectrum, laplacian
 from ringspec.rootfind import (
     AmbiguousSpectrumError,
     RootFinderConfig,
@@ -27,6 +27,19 @@ from ringspec.rootfind import (
 from support import match_multisets
 
 CFG = RootFinderConfig()
+
+
+def _count_horner(monkeypatch) -> list[int]:
+    """Count rootfind._horner calls; the count is the list's one entry."""
+    calls = [0]
+    horner = rootfind._horner
+
+    def counting_horner(cs, z):
+        calls[0] += 1
+        return horner(cs, z)
+
+    monkeypatch.setattr(rootfind, "_horner", counting_horner)
+    return calls
 
 
 class TestConfig:
@@ -165,6 +178,28 @@ class TestAberth:
                 assert double.converged and mp.converged, g.mask_string()
                 match_multisets(mp.roots, double.roots, 1e-9)
 
+    @pytest.mark.parametrize("mask", ["1" * 10, "111011110"])
+    def test_working_precision_solves_each_square_free_factor(self, monkeypatch, mask):
+        # both spectra have double roots, on which Aberth converges only
+        # linearly; one solve per square-free factor keeps every root simple
+        g = RingDigraph.from_mask_string(len(mask), mask)
+        p = char_poly(g)
+        calls = _count_horner(monkeypatch)
+        rs = aberth_roots(p, RootFinderConfig(working_dps=40))
+        assert calls[0] <= 30
+        assert rs.converged
+        match_multisets(closed_form_spectrum(g), rs.roots, 1e-12)
+        assert max(rs.residuals) <= 1e-15
+        assert all(isinstance(z, mpmath.mpc) for z in rs.working)
+        assert rs.roots == tuple(complex(z) for z in rs.working)
+
+    def test_working_roots_stay_out_of_repr_and_equality(self):
+        p = IntPolynomial([2, -3, 1])
+        mp = aberth_roots(p, RootFinderConfig(working_dps=30))
+        assert "working" not in repr(mp)
+        assert aberth_roots(p, CFG).working == ()
+        assert mp == rootfind.ComplexRootSet(mp.roots, mp.residuals, mp.converged, mp.source)
+
     def test_coefficients_beyond_double_range_do_not_converge(self):
         # the companion matrix holds -1e300 / 1e-10, which overflows
         rs = aberth_roots([1e300, 0.0, 1e-10], CFG)
@@ -236,6 +271,17 @@ class TestRefinement:
         assert calls <= 10 * len(refined)
         match_multisets(closed, [rr.value for rr in refined], 1e-9)
 
+    def test_refine_all_starts_from_the_working_roots(self, monkeypatch):
+        # the mpmath route's roots keep their digits, so Newton needs about
+        # one step per root; each root also gets one residual evaluation
+        poly, closed = path_matrix_spectrum(40)
+        rs = aberth_roots(poly, RootFinderConfig(working_dps=70))
+        calls = _count_horner(monkeypatch)
+        refined = refine_all(rs)
+        assert calls[0] <= 3 * len(rs.roots)
+        match_multisets(closed, refined.roots, 1e-12)
+        assert refined.converged and refined.source == rs.source
+
     def test_zero_derivative_without_a_root_stays_unconverged(self):
         # x^2 + 1 at 0: Newton has no step and 0 is not a root
         rr = refine_root(IntPolynomial([1, 0, 1]), 0j)
@@ -269,6 +315,53 @@ def _monic_from_roots(roots):
     for r in roots:
         p = poly_mul(p, IntPolynomial([-r, 1]))
     return p
+
+
+def _expand(factors) -> IntPolynomial:
+    p = IntPolynomial([1])
+    for a, k in factors:
+        for _ in range(k):
+            p = poly_mul(p, IntPolynomial(a))
+    return p
+
+
+class TestSquareFreeFactors:
+    def test_known_multiplicities(self):
+        p = _monic_from_roots([1, 1, 2, 2, 2, 3])
+        assert rootfind._square_free_factors(p) == [([-3, 1], 1), ([-1, 1], 2), ([-2, 1], 3)]
+
+    def test_only_repeated_factors(self):
+        p = _monic_from_roots([1, 2, 2, 3, 3, 3, 4, 4, 4, 4])
+        assert rootfind._square_free_factors(p) == [
+            ([-1, 1], 1), ([-2, 1], 2), ([-3, 1], 3), ([-4, 1], 4)]
+        assert rootfind._square_free_factors(_monic_from_roots([0] * 5)) == [([0, 1], 5)]
+
+    def test_square_free_input_is_one_factor(self):
+        # (x^2 + 1)(x - 2), scaled by -3: the factor is the primitive part
+        p = [6, -3, 6, -3]
+        assert rootfind._square_free_factors(p) == [([-2, 1, -2, 1], 1)]
+
+    def test_linear(self):
+        assert rootfind._square_free_factors(IntPolynomial([-6, 4])) == [([-3, 2], 1)]
+
+    def test_float_coefficients(self):
+        # 0.25 (x - 0.5)^2 (x + 1.5), exactly representable
+        assert rootfind._square_free_factors([0.09375, -0.3125, 0.125, 0.25]) == [
+            ([3, 2], 1), ([-1, 2], 2)]
+
+    def test_ring_polynomials_factor_completely(self):
+        # the factors multiply back to p, and each is square-free
+        seen = set()
+        for n in range(3, 9):
+            for bits in range(2 ** n):
+                p = char_poly(RingDigraph(n, tuple(bool(bits >> j & 1) for j in range(n))))
+                if p in seen:
+                    continue
+                seen.add(p)
+                factors = rootfind._square_free_factors(p)
+                assert _expand(factors) == p
+                assert all(square_free_part(a) == tuple(a) for a, _ in factors)
+                assert [k for _, k in factors] == sorted({k for _, k in factors})
 
 
 class TestSquareFreePart:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ringspec import weighted
 from ringspec.rootfind import RootFinderConfig, aberth_roots, char_poly_float, spectral_verdict
 from ringspec.weighted import (
     BoundaryNotFoundError,
@@ -176,6 +177,30 @@ class TestChordedC4:
             for y in (y1, y2):
                 assert abs(chorded_c4_discriminant(p, y)) < 1e-4
             assert chorded_c4_discriminant(p, 0.5 * (y1 + y2)) < 0
+
+    def test_boundary_at_large_p_stops_at_adjacent_doubles(self, monkeypatch):
+        # near y = 1e10 adjacent doubles are ~2e-6 apart, far above the 1e-9
+        # accuracy; the bisection must stop once its midpoint stops moving
+        # (4096 scan samples plus well under 100 steps per edge).  Only the
+        # bisection's invariant is checked: at this p the double-precision
+        # discriminant near y = p is rounding noise, so where the edges land
+        # is not asserted.
+        discriminant = weighted.chorded_c4_discriminant
+        calls = 0
+
+        def counting(p, y):
+            nonlocal calls
+            calls += 1
+            if calls > 5000:
+                raise RuntimeError("bisection does not terminate")
+            return discriminant(p, y)
+
+        monkeypatch.setattr(weighted, "chorded_c4_discriminant", counting)
+        p = 1e10
+        for y in chorded_c4_boundary(p):
+            below, at, above = (discriminant(p, v) < 0 for v in
+                                (math.nextafter(y, 0), y, math.nextafter(y, math.inf)))
+            assert below != at or at != above, y
 
     def test_half_infinite_window_below_p_one(self):
         # at p <= 1 the quartic's leading coefficient (p+3)(p-1) is <= 0 and
