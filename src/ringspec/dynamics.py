@@ -66,7 +66,8 @@ def simulate(laplacian_matrix, cfg: SimConfig) -> Trajectory:
     For a linear system the four RK4 stages compose to one fixed matrix,
     P = I + a(I + a(I/2 + a(I/6 + a/24))) with a = -hL, so each step is the
     single product x <- P x.  A state that overflows raises
-    FloatingPointError naming the first step that was not finite.
+    FloatingPointError naming the first step that was not finite; the
+    observable is kept as computed, infinite where x_1 - x_2 overflows.
 
     The step is rejected up front unless step * max(4, 2*max(diag)) stays
     within the stability margin (Gershgorin bounds the spectral radius by
@@ -98,12 +99,12 @@ def simulate(laplacian_matrix, cfg: SimConfig) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             states[k + 1] = x = prop @ x
+        observable = states[:, 0] - states[:, 1] if n >= 2 else states[:, 0].copy()
     diverged = np.flatnonzero(~np.isfinite(states).all(axis=1))
     if diverged.size:
         raise FloatingPointError(f"state diverged at step {diverged[0]}")
 
     times = np.arange(steps + 1) * h
-    observable = states[:, 0] - states[:, 1] if n >= 2 else states[:, 0].copy()
     return Trajectory(times, states, observable)
 
 
@@ -111,8 +112,12 @@ def dominant_frequency(traj: Trajectory) -> float | None:
     """Angular frequency from zero-crossing spacing of the detrended observable.
 
     Detrending subtracts the final value.  With fewer than 3 sign changes
-    there is no oscillation to speak of and the result is None.
+    there is no oscillation to speak of and the result is None.  An
+    observable that overflows double precision (a finite state whose x_1 - x_2
+    does not fit) raises ValueError.
     """
+    if not np.isfinite(traj.observable).all():
+        raise ValueError("the observable x_1 - x_2 overflows double precision")
     y = traj.observable - traj.observable[-1]
     t = traj.times
     y0, y1 = y[:-1], y[1:]

@@ -5,17 +5,18 @@ module, which knows nothing about those closed forms: it finds roots by
 simultaneous (Aberth-Ehrlich) iteration and builds characteristic polynomials
 by the Faddeev-LeVerrier trace recursion.
 
-One Aberth iteration serves both arithmetics.  It starts from the companion
-matrix's eigenvalues and runs in Python complex, or, when the config sets a
-working precision in decimal digits, in mpmath on each factor of the exact
-square-free factorization (Yun's algorithm), so that every root it solves
-for is simple.  Double precision is enough for degrees up to roughly 12; beyond that the
-monomial basis becomes badly conditioned near the ends of the root interval
-(evaluation noise grows like 6**degree).  Every evaluation goes through one
-Horner pass that also bounds its own rounding noise, and the iteration stops
-a root at that noise floor.  Individual roots can also be polished after the
-fact with :func:`refine_root`: the same iteration from a single start, which
-is Newton's method, run on the square-free part p / gcd(p, p')
+One Aberth iteration serves both arithmetics, on one route: the exact
+square-free factorization of p (Yun's algorithm) splits it into factors whose
+roots are all simple, and each factor is solved from its own companion
+matrix's eigenvalues, in Python complex or, when the config sets a working
+precision in decimal digits, in mpmath.  Double precision is enough for
+degrees up to roughly 12; beyond that the monomial basis becomes badly
+conditioned near the ends of the root interval (evaluation noise grows like
+6**degree).  Every evaluation goes through one Horner pass that also bounds
+its own rounding noise, and the iteration stops a root at that noise floor.
+Individual roots can also be polished after the fact with
+:func:`refine_root`: the same iteration from a single start, which is
+Newton's method, run on the square-free part p / gcd(p, p')
 (:func:`square_free_part`), computed exactly.  It has the same roots as p,
 all simple, so Newton converges quadratically even where p has a double or
 triple root.  Roots found in mpmath start their polishing with all their
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
@@ -36,11 +38,11 @@ import numpy as np
 
 from .polycore import IntPolynomial
 
-#: Roots whose imaginary part lands below this are treated as possibly-real
-#: artifacts of a split multiple root and get refined before any verdict.
-#: Double precision splits the symmetric ring's double roots by up to 4.9e-3
-#: at n = 16, while every essentially cyclic ring mask with n <= 16 has a
-#: conjugate pair with |Im| >= 0.132.
+#: Roots whose imaginary part lands below this are treated as possibly real
+#: and get refined before any verdict.  Over every ring mask with n <= 16 the
+#: real spectra come out of :func:`aberth_roots` within 3.9e-17 of the real
+#: axis, while every essentially cyclic one has a conjugate pair with
+#: |Im| >= 0.132.
 SUSPICIOUS_IMAG_BAND = 1e-2
 
 
@@ -144,39 +146,44 @@ def _residuals(coeffs: tuple, roots: Sequence[complex]) -> tuple[float, ...]:
 def aberth_roots(p, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSet:
     """All complex roots of p by simultaneous Aberth-Ehrlich iteration.
 
+    Each factor of :func:`_square_free_factors` is solved from its own
+    starting points and each of its roots repeated by its multiplicity, so
+    the iteration only ever meets simple roots (on a repeated root Aberth
+    converges only linearly, and in double precision leaves it split by
+    about sqrt(eps)).  A square-free p is solved from its own coefficients.
     The starting points are the eigenvalues of the companion matrix
     (``numpy.roots``), each nudged off the real axis by a different amount:
     a conjugate-symmetric start set stays symmetric under the iteration and
     can hold a conjugate pair on the real axis.  The iteration runs in double
-    precision, or in mpmath at ``cfg.working_dps`` digits.  The mpmath route
-    solves each factor of :func:`_square_free_factors` from its own companion
-    eigenvalues and repeats each root by its multiplicity, since Aberth
-    converges only linearly on a repeated root; it keeps its roots at working
-    precision in ``working``.  A root settles when its correction falls
-    below convergence_tol * max(1, |z|) or, once it has taken a step, when
-    |p(z)| reaches the evaluation-noise floor; hitting max_iterations, a
-    blow-up or a companion matrix that double precision cannot hold reports
-    ``converged=False`` rather than returning silent garbage.
+    precision, or in mpmath at ``cfg.working_dps`` digits, which also keeps
+    the roots at working precision in ``working``.  A root settles when its
+    correction falls below convergence_tol * max(1, |z|) or, once it has
+    taken a step, when |p(z)| reaches the evaluation-noise floor; hitting
+    max_iterations, a blow-up or a companion matrix that double precision
+    cannot hold reports ``converged=False`` rather than returning silent
+    garbage.
     """
     coeffs = _coefficients(p)
-    if cfg.working_dps is None:
-        roots, converged = _aberth([float(c) for c in coeffs], _companion_starts(coeffs),
-                                   cfg.convergence_tol, cfg.max_iterations,
-                                   sys.float_info.epsilon)
-        working = ()
-    else:
-        working, converged = [], True
-        with mpmath.workdps(cfg.working_dps):
-            for factor, multiplicity in _square_free_factors(coeffs):
-                zs, ok = _aberth([mpmath.mpf(c) for c in factor],
-                                 [mpmath.mpc(z) for z in _companion_starts(factor)],
-                                 mpmath.mpf(cfg.convergence_tol), cfg.max_iterations,
-                                 mpmath.mp.eps)
-                working += [z for z in zs for _ in range(multiplicity)]
-                converged = converged and ok
-        roots = working = tuple(working)
-    roots = tuple(complex(z) for z in roots)
-    return ComplexRootSet(roots, _residuals(coeffs, roots), converged, coeffs, working)
+    factors = _square_free_factors(coeffs)
+    if [k for _, k in factors] == [1]:
+        factors = [(coeffs, 1)]
+    mp = cfg.working_dps is not None
+    found, converged = [], True
+    with mpmath.workdps(cfg.working_dps) if mp else nullcontext():
+        real, cplx, eps = ((mpmath.mpf, mpmath.mpc, mpmath.mp.eps) if mp
+                           else (float, complex, sys.float_info.epsilon))
+        for factor, multiplicity in factors:
+            try:
+                cs = [real(c) for c in factor]
+            except OverflowError:  # an integer factor beyond double range
+                cs = [math.nan] * len(factor)
+            zs, ok = _aberth(cs, [cplx(z) for z in _companion_starts(factor)],
+                             real(cfg.convergence_tol), cfg.max_iterations, eps)
+            found += [z for z in zs for _ in range(multiplicity)]
+            converged = converged and ok
+    roots = tuple(complex(z) for z in found)
+    return ComplexRootSet(roots, _residuals(coeffs, roots), converged, coeffs,
+                          tuple(found) if mp else ())
 
 
 #: the smallest start nudge, relative to max(1, |z|): enough to leave the real
@@ -471,21 +478,18 @@ def spectral_verdict(rootset: ComplexRootSet, cfg: RootFinderConfig = RootFinder
 
     Roots whose imaginary part falls in the suspicious band are first pushed
     through :func:`refine_root` on the square-free part of the polynomial; a
-    double real root split by rounding collapses back, a true conjugate pair
-    does not.  If refinement leaves a root strictly between the convergence
-    tolerance and the imaginary threshold the answer is undecidable and an
-    :class:`AmbiguousSpectrumError` is raised.
+    real root that came out slightly off the axis collapses back, a true
+    conjugate pair does not.  If refinement leaves a root strictly between
+    the convergence tolerance and the imaginary threshold the answer is
+    undecidable and an :class:`AmbiguousSpectrumError` is raised.
     """
     if not rootset.converged:
         raise NonConvergenceError("root set did not converge; no verdict possible")
     imags = []
-    q = None  # the square-free part, computed once a root needs refining
     for z in rootset.roots:
         ai = abs(z.imag)
         if cfg.convergence_tol < ai <= SUSPICIOUS_IMAG_BAND:
-            if q is None:
-                q = square_free_part(rootset.source)
-            rr = refine_root(q, z, square_free=True)
+            rr = refine_root(rootset.source, z)
             if rr.converged:
                 ai = abs(rr.value.imag)
         imags.append(ai)

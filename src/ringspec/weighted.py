@@ -31,7 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 #: The two fixed arc weights of the variable-weight 4-cycle.
 C4_FIXED_WEIGHTS = (4, 9)
@@ -191,60 +194,80 @@ def chorded_c4_quartic(p, y):
     Kept as an independent expression; the tests verify it coincides with
     :func:`chorded_c4_discriminant` exactly.
     """
+    value = 0
+    for c in _chorded_c4_quartic_coefficients(p):
+        value = value * y + c
+    return value
+
+
+def _chorded_c4_quartic_coefficients(p) -> tuple:
+    """Coefficients of :func:`chorded_c4_quartic` in y, highest degree first."""
     q = p + 3
-    return (q * (q - 4) * y ** 4
-            - (2 * q ** 3 - 8 * q ** 2 + 4) * y ** 3
-            + q * (q ** 3 - 2 * q ** 2 - 8 * q + 6) * y ** 2
-            - 2 * q * (q + 2) * (q - 3) ** 2 * y
-            + (q + 1) * (q - 3) ** 3)
+    return (q * (q - 4),
+            -(2 * q ** 3 - 8 * q ** 2 + 4),
+            q * (q ** 3 - 2 * q ** 2 - 8 * q + 6),
+            -2 * q * (q + 2) * (q - 3) ** 2,
+            (q + 1) * (q - 3) ** 3)
 
 
-def chorded_c4_boundary(p: float, accuracy: float = 1e-9) -> tuple[float, float]:
-    """The positive y where the discriminant crosses zero, bracketing the window.
+def chorded_c4_boundary(p: float) -> tuple[float, float]:
+    """The edges (y1, y2) of the window of positive y where the digraph is cyclic.
 
-    Scans (0, 4*(p+3)] for sign changes and bisects each to the requested
-    accuracy; the discriminant is negative strictly inside the returned pair.
-    For p > 1 the window is two-sided.  For p <= 1 the quartic's leading
-    coefficient (p+3)(p-1) is no longer positive, the discriminant stays
-    negative for all large y, and the right edge is reported as inf.  Raises
-    :class:`BoundaryNotFoundError` when no sign change exists at all.
+    The candidates are the positive real parts of the quartic's roots
+    (``numpy.roots``).  Each is bracketed by the midpoints to its neighbours
+    (by half the smallest candidate and twice the largest at the ends), and
+    only a bracket across which the exact discriminant, evaluated on
+    ``Fraction`` values, changes sign holds an edge: the double-precision
+    discriminant is rounding noise near the edges once p is large, and
+    ``numpy.roots`` also returns false real roots there.  Each edge is
+    bisected on exact values down to adjacent doubles, and the one on the
+    cyclic side is returned, so the discriminant is negative at y1 and y2
+    and nonnegative at the doubles just outside them.  For p > 1 the window
+    is two-sided.  For p <= 1 the quartic's leading coefficient (p+3)(p-1)
+    is no longer positive, the discriminant stays negative for all large y,
+    and the right edge is reported as inf.  Raises ValueError when the
+    quartic's coefficients overflow double precision and
+    :class:`BoundaryNotFoundError` when no edge is found.
     """
     if not (math.isfinite(p) and p > 0):
         raise ValueError(f"need a finite p > 0, got {p}")
-    y_max = 4.0 * (p + 3)
-    samples = 4096
-    ys = [y_max * k / samples for k in range(1, samples + 1)]
-    vals = [chorded_c4_discriminant(p, y) for y in ys]
-    crossings = []
-    for (y0, v0), (y1, v1) in zip(zip(ys, vals), zip(ys[1:], vals[1:])):
-        if v0 == 0:
-            crossings.append(y0)
-        elif (v0 < 0) != (v1 < 0):
-            crossings.append(_bisect(lambda y: chorded_c4_discriminant(p, y),
-                                     y0, y1, accuracy))
+    exact = Fraction(p)
+    try:
+        coeffs = [float(c) for c in _chorded_c4_quartic_coefficients(exact)]
+    except OverflowError:
+        raise ValueError(f"the quartic in y overflows double precision at p={p}") from None
+
+    def cyclic(y: float) -> bool:
+        return chorded_c4_discriminant(exact, Fraction(y)) < 0
+
+    ys = sorted(float(z.real) for z in np.roots(coeffs) if z.real > 0)
+    cuts = ([0.5 * y for y in ys[:1]] + [0.5 * (a + b) for a, b in zip(ys, ys[1:])]
+            + [2.0 * y for y in ys[-1:]])
+    crossings = [_bisect(cyclic, lo, hi) for lo, hi in zip(cuts, cuts[1:])
+                 if cyclic(lo) != cyclic(hi)]
     if len(crossings) == 2:
         return crossings[0], crossings[1]
-    if len(crossings) == 1 and p <= 1 and vals[-1] < 0:
+    if len(crossings) == 1 and p <= 1 and cyclic(cuts[-1]):
         return crossings[0], math.inf
     raise BoundaryNotFoundError(
         f"expected one cyclicity window for p={p}, found {len(crossings)} crossings"
     )
 
 
-def _bisect(fn, lo: float, hi: float, accuracy: float) -> float:
-    flo = fn(lo)
-    while hi - lo > accuracy:
+def _bisect(cyclic, lo: float, hi: float) -> float:
+    """Of the two adjacent doubles where ``cyclic`` flips in (lo, hi), the cyclic one.
+
+    ``cyclic(lo)`` and ``cyclic(hi)`` must differ.
+    """
+    lo_cyclic = cyclic(lo)
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # adjacent doubles: the bracket cannot shrink
-            break
-        fm = fn(mid)
-        if fm == 0:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
+        if mid == lo or mid == hi:
+            return lo if lo_cyclic else hi
+        if cyclic(mid) == lo_cyclic:
+            lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 # -- weighted 4-cycle with two variable weights ------------------------------

@@ -13,7 +13,9 @@ import pytest
 import ringspec
 from ringspec import cli
 from ringspec.cli import main
+from ringspec.ringgraph import RingDigraph, closed_form_spectrum
 from ringspec.rootfind import RootFinderConfig
+from support import match_multisets
 
 
 def run(capsys, *argv):
@@ -61,10 +63,18 @@ class TestClassify:
         assert "disagreement" in err
 
     def test_numeric_symmetric_ring_at_fifteen(self, capsys):
-        # double precision splits its double roots by up to 1.8e-3
+        # its eigenvalues are double, apart from 0
         code, out, _ = run(capsys, "classify", "15", "1" * 15, "--numeric")
         rec = json.loads(out)
         assert code == 0
+        assert rec["numeric_essentially_cyclic"] is False
+        assert rec["numeric_agrees"] is True
+
+    @pytest.mark.parametrize("n", [30, 40])
+    def test_numeric_symmetric_ring_agrees_at_thirty_and_forty(self, capsys, n):
+        code, out, _ = run(capsys, "classify", str(n), "1" * n, "--numeric")
+        assert code == 0
+        rec = json.loads(out)
         assert rec["numeric_essentially_cyclic"] is False
         assert rec["numeric_agrees"] is True
 
@@ -118,6 +128,15 @@ class TestSpectrum:
         assert rec["numeric_converged"] is True
         # (x-1)^4 - 1 expanded, ascending, as decimal strings
         assert rec["char_poly"] == ["0", "-4", "6", "-4", "1"]
+
+    @pytest.mark.parametrize("mask", ["1" * 12, "111111011111110"])
+    def test_numeric_repeated_roots_match_the_closed_form(self, capsys, mask):
+        code, out, _ = run(capsys, "spectrum", str(len(mask)), mask, "--method", "numeric")
+        rec = json.loads(out)
+        assert code == 0
+        assert rec["numeric_converged"] is True
+        g = RingDigraph.from_mask_string(len(mask), mask)
+        match_multisets(closed_form_spectrum(g), [complex(*z) for z in rec["numeric"]], 1e-9)
 
     def test_exact_only_absent_for_split_gaps(self, capsys):
         code, out, _ = run(capsys, "spectrum", "4", "0110", "--method", "exact")
@@ -229,6 +248,11 @@ class TestSimulate:
         assert rec["essentially_cyclic"] is True
         assert rec["measured_frequency"] == pytest.approx(1.0, rel=0.05)
 
+    def test_overflowing_disagreement_keeps_its_rows(self, capsys):
+        code, out, _ = run(capsys, "simulate", "3", "000", "--x0", "1e308,-1e308,0")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1502
+
     def test_unstable_step_exits_2(self, capsys):
         code, _, _ = run(capsys, "simulate", "4", "1111", "--step", "0.5")
         assert code == 2
@@ -248,6 +272,7 @@ class TestSimulate:
     ("weighted", "c4", "--a-max", "1e300", "--steps", "2"),
     ("weighted", "k3", "--weights", "[1e308,1e308,1e308,0,0,0]"),
     ("weighted", "k3", "--weights", "[1e110,1e110,1e110,0,0,0]"),
+    ("simulate", "3", "000", "--x0", "1e308,-1e308,0", "--report"),
 ])
 def test_malformed_or_non_finite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -176,6 +176,15 @@ class TestDominantFrequency:
         freq = dominant_frequency(simulate(laplacian(g), cfg))
         assert freq == pytest.approx(math.sin(2 * math.pi / 3), rel=0.05)
 
+    def test_overflowing_observable_is_rejected(self):
+        # both states stay finite, their difference x_1 - x_2 does not
+        cfg = SimConfig(step=0.02, horizon=1.0, initial_state=(1.79e308, -1.79e308))
+        traj = simulate([[1.0, -1.0], [-1.0, 1.0]], cfg)
+        assert np.isfinite(traj.states).all()
+        assert np.isinf(traj.observable[0])
+        with pytest.raises(ValueError, match="overflows"):
+            dominant_frequency(traj)
+
     def test_symmetric_ring_has_no_frequency(self):
         for n in (4, 7):
             g = RingDigraph(n, (True,) * n)

@@ -355,10 +355,24 @@ class TestScan:
         assert res["disagreements"] == []
         assert res["ambiguous"] == []
 
+    def test_no_refinement_up_to_twelve(self, monkeypatch):
+        # every real spectrum comes out of the solve on the real axis
+        calls = []
+        refine_root = rootfind.refine_root
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return refine_root(*args, **kwargs)
+
+        monkeypatch.setattr(rootfind, "refine_root", counting)
+        res = exhaustive_scan(12)
+        assert calls == []
+        assert res["disagreements"] == []
+        assert res["ambiguous"] == []
+
     @pytest.mark.parametrize("n", [15, 16])
     def test_symmetric_ring_double_roots_beyond_degree_twelve(self, n):
-        # double precision splits the symmetric ring's double roots by up to
-        # 1.8e-3 (n = 15) and 4.9e-3 (n = 16); refinement must rejoin them
+        # the symmetric ring's eigenvalues are double, apart from 0 (and 4 at even n)
         res = exhaustive_scan(n)
         assert res["instances"] == 2 ** n
         assert res["disagreements"] == []

@@ -163,20 +163,22 @@ class TestAberth:
         match_multisets([1, 3, 2 + 1e-9j, 2 - 1e-9j], rs.roots, 1e-14)
 
     def test_double_and_working_precision_agree_on_small_rings(self):
-        # compared on square-free parts: double precision splits a double
-        # root by about sqrt(eps), so only simple roots can agree to 1e-9
+        # both arithmetics solve each square-free factor, so the repeated
+        # roots of char_poly(g) agree as closely as the simple roots of its
+        # square-free part
         seen = set()
         for n in range(3, 9):
             for bits in range(2 ** n):
                 g = RingDigraph(n, tuple(bool(bits >> j & 1) for j in range(n)))
-                q = square_free_part(char_poly(g))
-                if q in seen:
-                    continue
-                seen.add(q)
-                double = aberth_roots(q, CFG)
-                mp = aberth_roots(q, RootFinderConfig(working_dps=40))
-                assert double.converged and mp.converged, g.mask_string()
-                match_multisets(mp.roots, double.roots, 1e-9)
+                p = char_poly(g).coefficients
+                for q in (p, square_free_part(p)):
+                    if q in seen:
+                        continue
+                    seen.add(q)
+                    double = aberth_roots(q, CFG)
+                    mp = aberth_roots(q, RootFinderConfig(working_dps=40))
+                    assert double.converged and mp.converged, g.mask_string()
+                    match_multisets(mp.roots, double.roots, 1e-9)
 
     @pytest.mark.parametrize("mask", ["1" * 10, "111011110"])
     def test_working_precision_solves_each_square_free_factor(self, monkeypatch, mask):
@@ -203,6 +205,12 @@ class TestAberth:
     def test_coefficients_beyond_double_range_do_not_converge(self):
         # the companion matrix holds -1e300 / 1e-10, which overflows
         rs = aberth_roots([1e300, 0.0, 1e-10], CFG)
+        assert rs.converged is False
+
+    def test_factor_beyond_double_range_does_not_converge(self):
+        # x**2 (x - 6e-300): the primitive integer form of the factor
+        # x - 6e-300 has a coefficient near 2**1040
+        rs = aberth_roots([0.0, 0.0, -6e-300, 1.0], CFG)
         assert rs.converged is False
 
     def test_start_at_a_critical_point_keeps_moving(self):
@@ -474,7 +482,15 @@ class TestSpectralVerdict:
 
     def test_split_double_root_classified_real(self):
         g = RingDigraph.from_mask_string(7, "1101110")  # near-balanced, doubles
-        rs = aberth_roots(char_poly_exact(laplacian(g)), CFG)
+        p = char_poly_exact(laplacian(g)).coefficients
+        assert aberth_roots(p, CFG).max_abs_imag() <= 1e-13
+        # the same spectrum with each double root split by +-1e-6 i, built by
+        # hand: refinement has to rejoin the pairs on the real axis
+        reals = sorted(z.real for z in closed_form_spectrum(g))
+        doubles = [x for x, y in zip(reals, reals[1:]) if abs(x - y) < 1e-9]
+        split = (0j,) + tuple(complex(x, s * 1e-6) for x in doubles for s in (1, -1))
+        match_multisets(closed_form_spectrum(g), split, 1e-6)
+        rs = rootfind.ComplexRootSet(split, rootfind._residuals(p, split), True, p)
         assert rs.max_abs_imag() > 1e-9  # genuinely split before refinement
         assert spectral_verdict(rs, CFG) is False
 

@@ -202,6 +202,19 @@ class TestChordedC4:
                                 (math.nextafter(y, 0), y, math.nextafter(y, math.inf)))
             assert below != at or at != above, y
 
+    @pytest.mark.parametrize("p", [1e4, 1e6, 1e8, 1e10])
+    def test_window_at_large_p(self, p):
+        # the window is about (1 - 2/sqrt(p), 1 + 2/sqrt(p)); its edges are
+        # the outermost doubles at which the exact discriminant is negative
+        y1, y2 = chorded_c4_boundary(p)
+        half = 2 / math.sqrt(p)
+        assert y1 == pytest.approx(1 - half, abs=0.01 * half)
+        assert y2 == pytest.approx(1 + half, abs=0.01 * half)
+        exact = Fraction(p)
+        for inside, outside in ((y1, math.nextafter(y1, 0)), (y2, math.nextafter(y2, 2))):
+            assert chorded_c4_discriminant(exact, Fraction(inside)) < 0
+            assert chorded_c4_discriminant(exact, Fraction(outside)) >= 0
+
     def test_half_infinite_window_below_p_one(self):
         # at p <= 1 the quartic's leading coefficient (p+3)(p-1) is <= 0 and
         # large y no longer suppresses cyclicity
