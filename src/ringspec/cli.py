@@ -145,14 +145,16 @@ def _parse_k3_weights(text: str) -> weighted.WeightMatrix:
 def _cmd_weighted(args) -> int:
     if args.family == "k3":
         wm = _parse_k3_weights(args.weights)
-        disc = weighted.k3_discriminant(wm)
+        unit, e = weighted.unit_scaled(wm)
+        disc = weighted.k3_discriminant(unit)
         cfg = RootFinderConfig()
         verdict = spectral_verdict(
-            aberth_roots(char_poly_float(weighted.weighted_laplacian(wm)), cfg), cfg)
+            aberth_roots(char_poly_float(weighted.weighted_laplacian(unit)), cfg), cfg)
         payload = {
             "weights": [list(r) for r in wm.w],
-            "discriminant": disc,
-            "triangle_criterion": weighted.k3_classify(wm),
+            # a quadratic form in the weights, so it scales by 2**(2e)
+            "discriminant": math.ldexp(disc, 2 * e),
+            "triangle_criterion": weighted.k3_classify(unit),
             "essentially_cyclic": disc < 0,
             "numeric_essentially_cyclic": verdict,
         }

@@ -9,31 +9,32 @@ One Aberth iteration serves both arithmetics, on one route: the exact
 square-free factorization of p (Yun's algorithm) splits it into factors whose
 roots are all simple, and each factor is solved from its own companion
 matrix's eigenvalues, in Python complex or, when the config sets a working
-precision in decimal digits, in mpmath.  Double precision is enough for
-degrees up to roughly 12; beyond that the monomial basis becomes badly
-conditioned near the ends of the root interval (evaluation noise grows like
-6**degree).  Every evaluation goes through one Horner pass that also bounds
-its own rounding noise, and the iteration stops a root at that noise floor.
+precision in decimal digits, in fixed point: complex numbers held as two
+Python integers on a 2**-bits grid (:class:`_FixedComplex`).  Double
+precision is enough for degrees up to roughly 12; beyond that the monomial
+basis becomes badly conditioned near the ends of the root interval
+(evaluation noise grows like 6**degree).  Every evaluation goes through one
+Horner pass that also bounds its own rounding noise, and the iteration stops
+a root at that noise floor.
 Individual roots can also be polished after the fact with
 :func:`refine_root`: the same iteration from a single start, which is
 Newton's method, run on the square-free part p / gcd(p, p')
 (:func:`square_free_part`), computed exactly.  It has the same roots as p,
 all simple, so Newton converges quadratically even where p has a double or
-triple root.  Roots found in mpmath start their polishing with all their
+triple root.  Roots found in fixed point start their polishing with all their
 digits.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
-import mpmath
 import numpy as np
 
 from .polycore import IntPolynomial
@@ -78,14 +79,15 @@ class ComplexRootSet:
     ``residuals[i]`` is |p(z_i)| / (sum|a_k| * max(1,|z_i|)**degree).  The
     originating coefficients (ascending) ride along so that later refinement
     does not need a second argument, and so do the unrounded roots of the
-    mpmath route, from which refinement starts.
+    working-precision route, from which refinement starts.
     """
 
     roots: tuple[complex, ...]
     residuals: tuple[float, ...]
     converged: bool
     source: tuple = field(default=(), repr=False)
-    #: the roots at the working precision that found them (mpmath route only)
+    #: the roots at the working precision that found them, as
+    #: :class:`_FixedComplex` (working-precision route only)
     working: tuple = field(default=(), repr=False, compare=False)
 
     def max_abs_imag(self) -> float:
@@ -113,8 +115,8 @@ def _horner(cs: Sequence, z):
     """p(z), p'(z) and pbar(|z|) = sum |c_k| |z|**k in one synthetic-division pass.
 
     ``cs`` holds ascending coefficients.  p and p' are computed in the
-    arithmetic of ``cs`` and ``z`` (Python float and complex, or mpmath under
-    its working precision); pbar only scales the rounding noise, so it is
+    arithmetic of ``cs`` and ``z`` (Python float and complex, or
+    :class:`_FixedComplex`); pbar only scales the rounding noise, so it is
     accumulated in double.
     """
     az = float(abs(z))
@@ -129,8 +131,14 @@ def _horner(cs: Sequence, z):
 def _is_noise(pv, pbar, deg: int, eps) -> bool:
     """True when |p(z)| is within the rounding noise of evaluating p at z.
 
-    Horner's rounding error is a small multiple of deg * eps * pbar(|z|),
-    and 4 (deg + 1) covers complex arithmetic; an overflowed pbar settles
+    In floating point Horner's rounding error is a small multiple of
+    deg * eps * pbar(|z|), and 4 (deg + 1) covers complex arithmetic.  In
+    fixed point with eps = 2**-bits each product errs by less than
+    sqrt(2) * eps, absolutely, so p(z) errs by less than
+    sqrt(2) * eps * sum_{k < deg} |z|**k.  With integer coefficients and
+    p(0) != 0, pbar(|z|) >= max(1, |z|)**deg, so the same bound covers that
+    too; where p(0) = 0 it can fall short at |z| well below 1 / deg, and a
+    root there settles by its step size instead.  An overflowed pbar settles
     nothing.
     """
     return abs(pv) <= 4 * (deg + 1) * eps * pbar < math.inf
@@ -155,8 +163,10 @@ def aberth_roots(p, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSe
     (``numpy.roots``), each nudged off the real axis by a different amount:
     a conjugate-symmetric start set stays symmetric under the iteration and
     can hold a conjugate pair on the real axis.  The iteration runs in double
-    precision, or in mpmath at ``cfg.working_dps`` digits, which also keeps
-    the roots at working precision in ``working``.  A root settles when its
+    precision, or in fixed point on the exact integer coefficients of each
+    factor with ``cfg.working_dps`` significant digits on every nonzero root
+    (:func:`_fixed_point`), which also keeps the roots at working precision
+    in ``working``.  A root settles when its
     correction falls below convergence_tol * max(1, |z|) or, once it has
     taken a step, when |p(z)| reaches the evaluation-noise floor; hitting
     max_iterations, a blow-up or a companion matrix that double precision
@@ -167,23 +177,148 @@ def aberth_roots(p, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSe
     factors = _square_free_factors(coeffs)
     if [k for _, k in factors] == [1]:
         factors = [(coeffs, 1)]
-    mp = cfg.working_dps is not None
+    fixed = cfg.working_dps is not None
     found, converged = [], True
-    with mpmath.workdps(cfg.working_dps) if mp else nullcontext():
-        real, cplx, eps = ((mpmath.mpf, mpmath.mpc, mpmath.mp.eps) if mp
-                           else (float, complex, sys.float_info.epsilon))
-        for factor, multiplicity in factors:
-            try:
-                cs = [real(c) for c in factor]
-            except OverflowError:  # an integer factor beyond double range
-                cs = [math.nan] * len(factor)
-            zs, ok = _aberth(cs, [cplx(z) for z in _companion_starts(factor)],
-                             real(cfg.convergence_tol), cfg.max_iterations, eps)
-            found += [z for z in zs for _ in range(multiplicity)]
-            converged = converged and ok
+    for factor, multiplicity in factors:
+        zs = _companion_starts(factor)
+        if not all(map(cmath.isfinite, zs)):  # a factor beyond double range
+            ok = False
+        else:
+            if fixed:
+                cs, zs, eps = _fixed_point(factor, zs, cfg.working_dps)
+            else:
+                cs, eps = [float(c) for c in factor], sys.float_info.epsilon
+            zs, ok = _aberth(cs, zs, cfg.convergence_tol, cfg.max_iterations, eps)
+        found += [z for z in zs for _ in range(multiplicity)]
+        converged = converged and ok
     roots = tuple(complex(z) for z in found)
     return ComplexRootSet(roots, _residuals(coeffs, roots), converged, coeffs,
-                          tuple(found) if mp else ())
+                          tuple(found) if fixed else ())
+
+
+class _FixedComplex:
+    """(re + i im) * 2**-bits, with re and im Python integers.
+
+    The number type of the working-precision route: it has exactly what
+    :func:`_horner`, :func:`_is_noise` and :func:`_aberth` use.  Sums are
+    exact; products and quotients are truncated to the 2**-bits grid, an
+    absolute error below 2**-bits per component.  Both operands of an
+    operation share ``bits``; a Python int operand is lifted to the grid
+    exactly, and arithmetic with any other type raises ``TypeError``.
+    ``abs`` and ``float`` answer in double precision, infinite where the
+    value overflows it, and ``float`` accepts only a real value.
+    """
+
+    __slots__ = ("re", "im", "bits")
+
+    def __init__(self, re: int, im: int, bits: int):
+        self.re, self.im, self.bits = re, im, bits
+
+    @classmethod
+    def of(cls, z, bits: int) -> "_FixedComplex":
+        """z on the 2**-bits grid: a fixed-point z by a shift, else exactly.
+
+        A finite double is a dyadic rational, so it lands on the grid
+        exactly wherever its last bit is no finer than 2**-bits.
+        """
+        if isinstance(z, cls):
+            shift = bits - z.bits
+            if shift >= 0:
+                return cls(z.re << shift, z.im << shift, bits)
+            return cls(z.re >> -shift, z.im >> -shift, bits)
+        z = complex(z)
+        (rn, rd), (imn, imd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        return cls((rn << bits) // rd, (imn << bits) // imd, bits)
+
+    def _lift(self, other) -> "_FixedComplex":
+        """An int operand on this number's grid, exactly."""
+        if type(other) is not int:
+            raise TypeError(f"no fixed-point arithmetic with {type(other).__name__}")
+        return _FixedComplex(other << self.bits, 0, self.bits)
+
+    def __add__(self, other):
+        if type(other) is not _FixedComplex:
+            other = self._lift(other)
+        return _FixedComplex(self.re + other.re, self.im + other.im, self.bits)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is not _FixedComplex:
+            other = self._lift(other)
+        return _FixedComplex(self.re - other.re, self.im - other.im, self.bits)
+
+    def __mul__(self, other):
+        if type(other) is not _FixedComplex:
+            other = self._lift(other)
+        a, b, c, d, bits = self.re, self.im, other.re, other.im, self.bits
+        return _FixedComplex((a * c - b * d) >> bits, (a * d + b * c) >> bits, bits)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is not _FixedComplex:
+            other = self._lift(other)
+        a, b, c, d, bits = self.re, self.im, other.re, other.im, self.bits
+        den = c * c + d * d  # ZeroDivisionError below when other is 0
+        return _FixedComplex(((a * c + b * d) << bits) // den,
+                             ((b * c - a * d) << bits) // den, bits)
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
+
+    def __eq__(self, other):
+        if type(other) is int:
+            other = self._lift(other)
+        elif type(other) is not _FixedComplex:
+            return NotImplemented
+        return (self.re, self.im, self.bits) == (other.re, other.im, other.bits)
+
+    def __abs__(self) -> float:
+        return math.hypot(_scaled_down(self.re, self.bits), _scaled_down(self.im, self.bits))
+
+    def __float__(self) -> float:
+        if self.im:
+            raise TypeError("float() of a non-real fixed-point number")
+        return _scaled_down(self.re, self.bits)
+
+    def __complex__(self) -> complex:
+        return complex(_scaled_down(self.re, self.bits), _scaled_down(self.im, self.bits))
+
+    def __repr__(self) -> str:
+        return f"_FixedComplex({complex(self)!r}, bits={self.bits})"
+
+
+def _scaled_down(n: int, bits: int) -> float:
+    """n * 2**-bits, correctly rounded to a double, infinite beyond its range."""
+    try:
+        return n / (1 << bits)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+#: bits beyond ceil(dps * log2(10)), so that the last requested digit is not
+#: the one the truncations wear down
+_GUARD_BITS = 16
+
+
+def _fixed_point(coeffs, starts, dps: int):
+    """A polynomial and its starts in fixed point: (cs, starts, eps).
+
+    ``cs`` are the exact primitive integer coefficients of ``coeffs`` (see
+    :func:`_integer_coefficients`) on the grid, ``eps`` is 2**-bits.  The
+    grid keeps ``dps`` significant digits on every nonzero root: besides
+    ceil(dps * log2(10)) and a guard, ``bits`` covers Cauchy's lower bound
+    |r| >= |c_m| / (|c_m| + max_{k > m} |c_k|) on the nonzero roots r,
+    where c_m is the lowest nonzero coefficient.
+    """
+    ints = _integer_coefficients(coeffs)[1]
+    low = next(c for c in ints if c)
+    top = max(map(abs, ints[ints.index(low) + 1:]), default=0)
+    bits = (math.ceil(dps * math.log2(10)) + _GUARD_BITS
+            + max(0, top.bit_length() - abs(low).bit_length()) + 2)
+    return ([_FixedComplex(c << bits, 0, bits) for c in ints],
+            [_FixedComplex.of(z, bits) for z in starts], math.ldexp(1.0, -bits))
 
 
 #: the smallest start nudge, relative to max(1, |z|): enough to leave the real
@@ -299,6 +434,8 @@ def _integer_coefficients(p) -> tuple[tuple, list[int]]:
     Float coefficients are converted losslessly through ``Fraction``.
     """
     coeffs = _coefficients(p)
+    if all(type(c) is int for c in coeffs):
+        return coeffs, _primitive(list(coeffs))
     fracs = [Fraction(c) for c in coeffs]
     den = math.lcm(*(f.denominator for f in fracs))
     return coeffs, _primitive([int(f * den) for f in fracs])
@@ -374,27 +511,30 @@ def refine_root(p, z: complex, dps: int = 60, max_steps: int = 90, *,
     Evaluation uses the exact coefficients (integers, or floats converted
     losslessly), so split multiple roots collapse back onto the real axis
     instead of stalling at the double-precision noise floor.  The iteration
-    is :func:`aberth_roots`' own, from the single start z at ``dps`` digits
-    (z may be an mpmath number, which keeps its extra digits): it stops when
-    a step falls below 10**-(dps - 10) relative, or when |p(z)| reaches the
-    rounding noise of evaluating p; a degree-40 polynomial reaches that
-    floor before its steps get that small.
-    Divergence, a vanishing derivative or ``max_steps`` without settling
-    returns the input, as a complex, with ``converged=False``.
+    is :func:`aberth_roots`' own, from the single start z in fixed point with
+    ``dps`` significant digits (see :func:`_fixed_point`; z may be a root
+    from ``ComplexRootSet.working``, which keeps its extra digits): it stops
+    when a step falls below 10**-(dps - 10) relative, or when |p(z)|
+    reaches the rounding noise of evaluating p; a degree-40 polynomial
+    reaches that floor before its steps get that small.
+    A non-finite start, divergence, a vanishing derivative or ``max_steps``
+    without settling returns the input, as a complex, with
+    ``converged=False``.
     """
+    if not cmath.isfinite(complex(z)):  # no point on the grid to start from
+        return RefinedRoot(complex(z), False)
     coeffs = _coefficients(p) if square_free else square_free_part(p)
-    with mpmath.workdps(dps):
-        (zz,), converged = _aberth([mpmath.mpf(c) for c in coeffs], [mpmath.mpc(z)],
-                                   mpmath.mpf(10) ** (-(dps - 10)), max_steps,
-                                   mpmath.mp.eps)
-        return RefinedRoot(complex(zz), True) if converged else RefinedRoot(complex(z), False)
+    cs, starts, eps = _fixed_point(coeffs, [z], dps)
+    (zz,), converged = _aberth(cs, starts, 10.0 ** -(dps - 10), max_steps, eps)
+    return RefinedRoot(complex(zz), True) if converged else RefinedRoot(complex(z), False)
 
 
 def refine_all(rootset: ComplexRootSet, dps: int = 60) -> ComplexRootSet:
     """Newton-polish every root of a converged root set on its square-free part.
 
     Newton starts from the working-precision roots when the set carries
-    them, so digits already found are not won back step by step.
+    them, moved onto the ``dps`` grid by a bit shift, so digits already
+    found are not won back step by step.
     """
     q = square_free_part(rootset.source)
     refined = []

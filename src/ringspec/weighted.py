@@ -98,6 +98,24 @@ def weighted_laplacian(wm: WeightMatrix) -> list[list[float]]:
     ]
 
 
+def unit_scaled(wm: WeightMatrix) -> tuple[WeightMatrix, int]:
+    """(wm * 2**-e, e): weights below 1 moved up so that the largest is in [1, 2).
+
+    Essential cyclicity does not change when every weight is multiplied by
+    the same positive factor, and a power of two changes no bit of a
+    weight, so products of tiny weights (a discriminant near 1e-600) no
+    longer underflow to zero.  A weight matrix whose largest weight is 1 or
+    more, or zero, comes back unchanged with e = 0, so weights large enough
+    to overflow the characteristic polynomial are still rejected as invalid
+    input.
+    """
+    top = max(max(row) for row in wm.w)
+    if top == 0 or top >= 1:
+        return wm, 0
+    e = math.frexp(top)[1] - 1
+    return WeightMatrix([[math.ldexp(v, -e) for v in row] for row in wm.w]), e
+
+
 def k3_matrix(a, b, c, alpha, beta, gamma) -> WeightMatrix:
     """Complete 3-vertex weight matrix.
 

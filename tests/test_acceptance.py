@@ -69,7 +69,8 @@ def accurate_roots(poly):
     """Numeric roots fit for 1e-9 comparisons at any degree in range.
 
     Double precision suffices through degree ~12; beyond that the monomial
-    basis is too ill-conditioned and the same Aberth iteration runs in mpmath.
+    basis is too ill-conditioned and the same Aberth iteration runs in fixed
+    point at working precision.
     Every root is Newton-polished on the exact coefficients afterwards.
     """
     deg = poly.degree

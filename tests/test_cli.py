@@ -201,6 +201,19 @@ class TestWeighted:
         assert code == 0
         assert rec["essentially_cyclic"] is False
 
+    def test_k3_tiny_weights_keep_their_verdicts(self, capsys):
+        # the discriminant is near -8e-600 and the float characteristic
+        # polynomial's linear coefficient near 1.1e-599: both underflow
+        # unless the weights are scaled first
+        verdicts = ("essentially_cyclic", "triangle_criterion", "numeric_essentially_cyclic")
+        recs = []
+        for weights in ("[1e-300, 2e-300, 3e-300, 0, 0, 0]", "[1, 2, 3, 0, 0, 0]"):
+            code, out, err = run(capsys, "weighted", "k3", "--weights", weights)
+            assert code == 0, err
+            recs.append(json.loads(out))
+        assert [recs[0][k] for k in verdicts] == [recs[1][k] for k in verdicts] == [True] * 3
+        assert recs[0]["discriminant"] == 0 and recs[1]["discriminant"] == -8
+
     def test_k3_bad_weights_exit_2(self, capsys):
         code, _, _ = run(capsys, "weighted", "k3", "--weights", "[1, 2]")
         assert code == 2
@@ -289,6 +302,18 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["per_root"] == [1, 2, 1, 2]
+
+
+def test_importing_the_cli_leaves_mpmath_out():
+    # mpmath is a test dependency only: the oracle computes in fixed point
+    src = os.path.dirname(os.path.dirname(ringspec.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, ringspec.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_importing_the_main_module_runs_nothing():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -192,7 +193,7 @@ class TestAberth:
         assert rs.converged
         match_multisets(closed_form_spectrum(g), rs.roots, 1e-12)
         assert max(rs.residuals) <= 1e-15
-        assert all(isinstance(z, mpmath.mpc) for z in rs.working)
+        assert all(isinstance(z, rootfind._FixedComplex) for z in rs.working)
         assert rs.roots == tuple(complex(z) for z in rs.working)
 
     def test_working_roots_stay_out_of_repr_and_equality(self):
@@ -220,6 +221,129 @@ class TestAberth:
         assert converged
         match_multisets([-1, cmath.exp(1j * math.pi / 3), cmath.exp(-1j * math.pi / 3)],
                         roots, 1e-12)
+
+
+def _to_mp(z):
+    """A working-precision root as an mpmath number, exactly (call under workdps)."""
+    return mpmath.mpc(mpmath.ldexp(z.re, -z.bits), mpmath.ldexp(z.im, -z.bits))
+
+
+def _polyroots(p) -> list:
+    """p's roots by mpmath.polyroots at 120 digits, one square-free factor at a time."""
+    roots = []
+    with mpmath.workdps(120):
+        for factor, k in rootfind._square_free_factors(p):
+            found = mpmath.polyroots([mpmath.mpf(c) for c in reversed(factor)],
+                                     maxsteps=400, extraprec=600)
+            roots += [r for r in found for _ in range(k)]
+    return roots
+
+
+def _worst_distance(roots, reference, relative: bool) -> float:
+    """Largest distance from a root to its nearest reference root (call under workdps)."""
+    return max(float(min(abs(z - r) / (abs(r) if relative else 1) for r in reference))
+               for z in roots)
+
+
+def _mpmath_route(p, dps: int) -> list[complex]:
+    """Roots of p as the Aberth iteration and Newton give them in mpmath floating point.
+
+    The same engine, factors, starts and stops as :func:`aberth_roots` at
+    ``dps`` digits followed by :func:`refine_all`, over ``mpmath.mpc``.
+    """
+    coeffs = rootfind._coefficients(p)
+    factors = rootfind._square_free_factors(coeffs)
+    if [k for _, k in factors] == [1]:
+        factors = [(coeffs, 1)]
+    found = []
+    with mpmath.workdps(dps):
+        for factor, k in factors:
+            zs, ok = rootfind._aberth([mpmath.mpf(c) for c in factor],
+                                      [mpmath.mpc(z) for z in rootfind._companion_starts(factor)],
+                                      mpmath.mpf(CFG.convergence_tol), CFG.max_iterations,
+                                      mpmath.mp.eps)
+            assert ok
+            found += [z for z in zs for _ in range(k)]
+    q = [mpmath.mpf(c) for c in square_free_part(p)]
+    refined = []
+    with mpmath.workdps(60):
+        for z in found:
+            (zz,), ok = rootfind._aberth(q, [mpmath.mpc(z)], mpmath.mpf(10) ** -50, 90,
+                                         mpmath.mp.eps)
+            assert ok
+            refined.append(complex(zz))
+    return refined
+
+
+#: the certified spectra of the benchmark's spectra workload: its closed-form
+#: families, and three of its random multi-gap masks
+CERTIFIED_MASKS = ["0" + "1" * 15, "0" + "1" * 19, "1111111011111110", "11111111101111111110",
+                   "111011110", "11110111110", "0" * 20, "0" * 28, "1" * 8, "1" * 10,
+                   "001011110010", "11011001000010", "1001101001101001"]
+
+
+class TestFixedPoint:
+    def test_arithmetic_errs_below_one_grid_step(self):
+        bits = 80
+        rng = np.random.default_rng(5)
+        # doubles, so that they land on the grid exactly
+        exact = [(Fraction(int(re), 2 ** 40), Fraction(int(im), 2 ** 50))
+                 for re, im in rng.integers(-2 ** 52, 2 ** 52, size=(40, 2))]
+        fixed = [rootfind._FixedComplex.of(complex(float(a), float(b)), bits) for a, b in exact]
+        grid = Fraction(1, 2 ** bits)
+        for (a, b), x in zip(exact, fixed):
+            assert (Fraction(x.re, 2 ** bits), Fraction(x.im, 2 ** bits)) == (a, b)
+        for (a, b), x, (c, d), y in zip(exact, fixed, exact[1:], fixed[1:]):
+            den = c * c + d * d
+            for got, want in [(x + y, (a + c, b + d)), (x - y, (a - c, b - d)),
+                              (x * y, (a * c - b * d, a * d + b * c)),
+                              (x / y, ((a * c + b * d) / den, (b * c - a * d) / den))]:
+                err = [Fraction(v, 2 ** bits) - w for v, w in zip((got.re, got.im), want)]
+                assert all(-grid < e <= 0 for e in err)
+            assert complex(x) == complex(float(a), float(b))
+            assert abs(x) == pytest.approx(abs(complex(x)), rel=1e-15)
+        x = fixed[0]
+        assert 0 + x == x and 0 * x == 0 and abs((1 / x) * x - 1) < 1e-20
+        assert x != 0 and rootfind._FixedComplex(0, 0, bits) == 0
+        with pytest.raises(ZeroDivisionError):
+            x / rootfind._FixedComplex(0, 0, bits)
+        with pytest.raises(TypeError):
+            float(x)
+        with pytest.raises(TypeError):
+            x * 0.5
+        huge = rootfind._FixedComplex(1 << 2000, 0, bits)
+        assert abs(huge) == float(huge) == math.inf
+        # a root found on a coarse grid moves to a finer one exactly
+        assert rootfind._FixedComplex.of(x, bits + 30).re == x.re << 30
+
+    @pytest.mark.parametrize("name, p, tol", [
+        # (10**30 x - 1)(x - 1)(x - 2): one root at 1e-30, where the grid
+        # needs about 100 bits more than 40 digits near 1
+        ("tiny", poly_mul(IntPolynomial([-1, 10 ** 30]), IntPolynomial([2, -3, 1])), 1e-40),
+        # roots 1e6, 2e6 and 1e6 +- i
+        ("large", poly_mul(poly_mul(IntPolynomial([-10 ** 6, 1]), IntPolynomial([-2 * 10 ** 6, 1])),
+                           IntPolynomial([10 ** 12 + 1, -2 * 10 ** 6, 1])), 1e-29),
+        # roots 1, 3 and 2 +- 1e-9 i
+        ("pair", poly_mul(IntPolynomial([3, -4, 1]),
+                          IntPolynomial([4 * 10 ** 18 + 1, -4 * 10 ** 18, 10 ** 18])), 1e-35),
+    ])
+    def test_working_roots_match_polyroots(self, name, p, tol):
+        rs = aberth_roots(p, RootFinderConfig(working_dps=40))
+        assert rs.converged
+        reference = _polyroots(p)
+        with mpmath.workdps(120):
+            assert _worst_distance([_to_mp(z) for z in rs.working], reference,
+                                   relative=True) <= tol, name
+            assert _worst_distance(reference, [_to_mp(z) for z in rs.working],
+                                   relative=False) < 1e-20, name
+
+    def test_certified_spectra_match_the_mpmath_route(self):
+        for mask in CERTIFIED_MASKS:
+            n = len(mask)
+            p = char_poly(RingDigraph.from_mask_string(n, mask))
+            rs = aberth_roots(p, RootFinderConfig(working_dps=30 + n))
+            assert rs.converged, mask
+            match_multisets(_mpmath_route(p, 30 + n), refine_all(rs).roots, 1e-40)
 
 
 class TestRefinement:
@@ -294,6 +418,14 @@ class TestRefinement:
         # x^2 + 1 at 0: Newton has no step and 0 is not a root
         rr = refine_root(IntPolynomial([1, 0, 1]), 0j)
         assert rr == (0j, False)
+
+    def test_non_finite_start_stays_unconverged(self):
+        # a root set that did not converge can carry NaN roots into refine_all
+        for z in (complex(math.nan, 0), complex(math.inf, 0)):
+            rr = refine_root(IntPolynomial([1, 0, 1]), z)
+            assert not rr.converged and (rr.value == z or cmath.isnan(rr.value.real))
+        rs = aberth_roots([0.0, 0.0, -6e-300, 1.0], CFG)
+        assert refine_all(rs).roots[1:] == (0j, 0j)
 
     def test_stuck_start_gives_up_after_one_repeated_sweep(self, monkeypatch):
         # a lone start with p' = 0 never moves, so a second sweep that moves

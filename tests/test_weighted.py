@@ -30,6 +30,7 @@ from ringspec.weighted import (
     k3_matrix,
     k3_weights,
     scan_csv,
+    unit_scaled,
     weighted_laplacian,
 )
 
@@ -81,6 +82,20 @@ class TestK3:
         assert k3_discriminant(k3_matrix(1, 1, 1, 1, 1, 1)) == 0
         assert k3_discriminant(k3_matrix(1, 1, 1, 0, 0, 0)) == -3
         assert k3_discriminant(k3_matrix(4, 1, 1, 0, 0, 0)) == 0
+
+    def test_unit_scaling_keeps_every_bit_of_the_discriminant(self):
+        for weights in [(0.1, 0.2, 0.3, 0, 0, 0), (0.7, 1e-3, 0.25, 0.5, 0, 1e-9),
+                        (1.5, 2, 3, 0, 0, 0), (0,) * 6]:
+            wm = k3_matrix(*weights)
+            unit, e = unit_scaled(wm)
+            if 0 < max(weights) < 1:
+                assert 1 <= max(max(row) for row in unit.w) < 2
+            else:
+                assert (unit, e) == (wm, 0)
+            assert math.ldexp(k3_discriminant(unit), 2 * e) == k3_discriminant(wm)
+        # below the double range's bottom only the scaled form keeps a sign
+        unit, e = unit_scaled(k3_matrix(1e-300, 2e-300, 3e-300, 0, 0, 0))
+        assert e < -990 and k3_discriminant(unit) < 0
 
     def test_classify_examples(self):
         assert k3_classify(k3_matrix(1, 1, 1, 0, 0, 0)) is True
