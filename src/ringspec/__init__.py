@@ -20,6 +20,7 @@ from .polycore import (
     eval_real,
     landmark_roots,
     poly_mul,
+    poly_product,
     poly_shift_const,
     product_bound_witness,
     w_poly,
@@ -62,6 +63,7 @@ __all__ = [
     "eval_real",
     "landmark_roots",
     "poly_mul",
+    "poly_product",
     "poly_shift_const",
     "product_bound_witness",
     "w_poly",

@@ -13,9 +13,7 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -80,21 +78,10 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _scan_worker(n: int) -> dict:
-    return exhaustive_scan(n)
-
-
 def _cmd_scan(args) -> int:
     if args.n_min < 3 or args.n_max < args.n_min:
         raise ValueError(f"need 3 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
-    sizes = list(range(args.n_min, args.n_max + 1))
-    if args.parallel and len(sizes) > 1:
-        workers = int(os.environ.get("RINGSPEC_THREADS", os.cpu_count() or 1))
-        workers = max(1, min(workers, len(sizes)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_worker, sizes))
-    else:
-        results = [_scan_worker(n) for n in sizes]
+    results = [exhaustive_scan(n) for n in range(args.n_min, args.n_max + 1)]
     instances = sum(r["instances"] for r in results)
     disagreements = sorted((r["n"], m) for r in results for m in r["disagreements"])
     ambiguous = sorted((r["n"], m) for r in results for m in r["ambiguous"])
@@ -222,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="exhaustive exact-vs-numeric agreement scan")
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--parallel", action="store_true",
-                   help="distribute sizes over processes (RINGSPEC_THREADS caps)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_scan)
 

@@ -26,7 +26,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,16 @@ _Z_CACHE: list[IntPolynomial] = [IntPolynomial([1]), IntPolynomial([-1, 1])]
 _W_CACHE: list[IntPolynomial] = [IntPolynomial([2]), IntPolynomial([-2, 1])]
 # guards cache growth; lock-free reads are fine since the lists only grow
 _CACHE_LOCK = threading.Lock()
-_X_MINUS_2 = IntPolynomial([-2, 1])
-_X = IntPolynomial([0, 1])
+
+
+def _next_term(p1: IntPolynomial, p0: IntPolynomial, a: int) -> IntPolynomial:
+    """(x - a) * p1 - p0, the step of all three recurrences, on plain lists."""
+    out = [0, *p1.coefficients]
+    for k, c in enumerate(p1.coefficients):
+        out[k] -= a * c
+    for k, c in enumerate(p0.coefficients):
+        out[k] -= c
+    return IntPolynomial(out)
 
 
 def cheb_u(n: int) -> IntPolynomial:
@@ -163,7 +171,7 @@ def cheb_u(n: int) -> IntPolynomial:
     if n >= len(_CHEB_CACHE):
         with _CACHE_LOCK:
             while len(_CHEB_CACHE) <= n:
-                _CHEB_CACHE.append(_X * _CHEB_CACHE[-1] - _CHEB_CACHE[-2])
+                _CHEB_CACHE.append(_next_term(_CHEB_CACHE[-1], _CHEB_CACHE[-2], 0))
     return _CHEB_CACHE[n]
 
 
@@ -178,7 +186,7 @@ def z_poly(n: int) -> IntPolynomial:
     if n >= len(_Z_CACHE):
         with _CACHE_LOCK:
             while len(_Z_CACHE) <= n:
-                _Z_CACHE.append(_X_MINUS_2 * _Z_CACHE[-1] - _Z_CACHE[-2])
+                _Z_CACHE.append(_next_term(_Z_CACHE[-1], _Z_CACHE[-2], 2))
     return _Z_CACHE[n]
 
 
@@ -196,19 +204,88 @@ def w_poly(n: int) -> IntPolynomial:
     if n >= len(_W_CACHE):
         with _CACHE_LOCK:
             while len(_W_CACHE) <= n:
-                _W_CACHE.append(_X_MINUS_2 * _W_CACHE[-1] - _W_CACHE[-2])
+                _W_CACHE.append(_next_term(_W_CACHE[-1], _W_CACHE[-2], 2))
     return _W_CACHE[n]
 
 
 def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Exact convolution product."""
-    out = [0] * (len(a.coefficients) + len(b.coefficients) - 1)
-    for i, ca in enumerate(a.coefficients):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b.coefficients):
-            out[i + j] += ca * cb
-    return IntPolynomial(out)
+    """Exact product of two polynomials (:func:`poly_product`)."""
+    return poly_product((a, b))
+
+
+def poly_product(factors: Iterable[IntPolynomial]) -> IntPolynomial:
+    """Exact product of any number of polynomials by Kronecker substitution.
+
+    Every coefficient of the product is bounded by B, the product of the
+    factors' L1 norms, so with bits = B.bit_length() + 1 each factor packs
+    into the integer sum_k c_k * 2**(bits*k) without its coefficients
+    overlapping, one big-integer product (in C) multiplies them all, and the
+    product's coefficients are that integer's balanced base-2**bits digits.
+    The empty product is 1.
+    """
+    coeff_lists = [f.coefficients for f in factors]
+    bound = 1
+    for cs in coeff_lists:
+        bound *= sum(abs(c) for c in cs)
+    if bound == 0:
+        return IntPolynomial([0])
+    bits = bound.bit_length() + 1
+    packed = 1
+    for cs in coeff_lists:
+        packed *= _pack(cs, bits)
+    return IntPolynomial(_unpack(packed, bits, sum(len(cs) - 1 for cs in coeff_lists) + 1))
+
+
+#: coefficient count below which packing and unpacking run a plain loop;
+#: longer lists are split in halves, so each big-integer shift or mask costs
+#: O(size) once per level instead of once per coefficient
+_LEAF = 16
+
+
+def _pack(coeffs: Sequence[int], bits: int) -> int:
+    """The integer sum_k coeffs[k] * 2**(bits*k)."""
+    if len(coeffs) > _LEAF:
+        h = len(coeffs) // 2
+        return _pack(coeffs[:h], bits) + (_pack(coeffs[h:], bits) << (bits * h))
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << bits) + c
+    return acc
+
+
+def _unpack(value: int, bits: int, count: int) -> list[int]:
+    """The ``count`` balanced base-2**bits digits of ``value``, lowest first.
+
+    Every digit must lie strictly between -2**(bits-1) and 2**(bits-1), as
+    the coefficients of :func:`poly_product` do; then each block of h digits
+    is the balanced residue of its value mod 2**(bits*h).  Raises
+    ArithmeticError when ``value`` has digits beyond the first ``count``.
+    """
+    if _balanced_low(value, bits * count) != value:
+        raise ArithmeticError("packed product has digits beyond the coefficient count")
+    return _digits(value, bits, count)
+
+
+def _digits(value: int, bits: int, count: int) -> list[int]:
+    if count > _LEAF:
+        h = count // 2
+        low = _balanced_low(value, bits * h)
+        return _digits(low, bits, h) + _digits((value - low) >> (bits * h), bits, count - h)
+    base, half, mask = 1 << bits, 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    for _ in range(count):
+        d = value & mask
+        if d >= half:
+            d -= base
+        out.append(d)
+        value = (value - d) >> bits
+    return out
+
+
+def _balanced_low(value: int, width: int) -> int:
+    """The residue of ``value`` mod 2**width in [-2**(width-1), 2**(width-1))."""
+    low = value & ((1 << width) - 1)
+    return low - (1 << width) if low >> (width - 1) else low
 
 
 def poly_shift_const(p: IntPolynomial, c: int) -> IntPolynomial:
@@ -308,10 +385,7 @@ def landmark_roots(m: int) -> LandmarkRoots:
 
 def product_polynomial(ks: Sequence[int], p: int) -> IntPolynomial:
     """The even polynomial prod_k cheb_u(2*i_k) + (-1)**p."""
-    prod = IntPolynomial([1])
-    for k in ks:
-        prod = prod * cheb_u(2 * k)
-    return poly_shift_const(prod, (-1) ** p)
+    return poly_shift_const(poly_product(cheb_u(2 * k) for k in ks), (-1) ** p)
 
 
 def classify_product_real(ks: Sequence[int], p: int) -> RealRootVerdict:

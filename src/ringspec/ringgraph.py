@@ -26,7 +26,14 @@ import math
 from dataclasses import dataclass
 
 from . import rootfind
-from .polycore import IntPolynomial, classify_product_real, poly_shift_const, w_poly, z_poly
+from .polycore import (
+    IntPolynomial,
+    classify_product_real,
+    poly_product,
+    poly_shift_const,
+    w_poly,
+    z_poly,
+)
 from .rootfind import ComplexRootSet, RootFinderConfig
 
 CASE_FULL_CYCLE = "full-cycle"
@@ -129,7 +136,9 @@ def canonical_form(g: RingDigraph) -> RingDigraph:
 def char_poly(g: RingDigraph) -> IntPolynomial:
     """Exact Laplacian characteristic polynomial from the gap decomposition.
 
-    For 1 <= K <= n-1 this is prod_k Z_{i_k} - (-1)**n.  The bare cycle
+    For 1 <= K <= n-1 this is prod_k Z_{i_k} - (-1)**n, the product taken
+    in one Kronecker substitution (:func:`ringspec.polycore.poly_product`:
+    one pack per gap, one big-integer product, one unpack).  The bare cycle
     (K = n) expands (x-1)**n - (-1)**n directly; the symmetric ring (K = 0)
     is the Chebyshev closed form W_n - 2*(-1)**n with W_n(x) = 2*T_n((x-2)/2)
     (:func:`ringspec.polycore.w_poly`).  No branch calls the numeric oracle.
@@ -141,10 +150,7 @@ def char_poly(g: RingDigraph) -> IntPolynomial:
         return poly_shift_const(IntPolynomial(coeffs), -((-1) ** n))
     if dec.K == 0:
         return poly_shift_const(w_poly(n), -2 * (-1) ** n)
-    prod = IntPolynomial([1])
-    for gap in dec.gaps:
-        prod = prod * z_poly(gap)
-    return poly_shift_const(prod, -((-1) ** n))
+    return poly_shift_const(poly_product(z_poly(gap) for gap in dec.gaps), -((-1) ** n))
 
 
 def closed_form_spectrum(g: RingDigraph) -> list[complex] | None:

@@ -3,7 +3,10 @@
 The package's closed-form spectral claims are all cross-checked against this
 module, which knows nothing about those closed forms: it finds roots by
 simultaneous (Aberth-Ehrlich) iteration and builds characteristic polynomials
-by the Faddeev-LeVerrier trace recursion.
+from the matrix entries alone, with its own arithmetic on plain lists: the
+transfer-matrix (periodic Jacobi) determinant for ring-shaped matrices, whose
+nonzeros lie on the three cyclic diagonals, and the Faddeev-LeVerrier trace
+recursion for every other matrix.
 
 One Aberth iteration serves both arithmetics, on one route: the exact
 square-free factorization of p (Yun's algorithm) splits it into factors whose
@@ -549,17 +552,65 @@ def refine_all(rootset: ComplexRootSet, dps: int = 60) -> ComplexRootSet:
 def char_poly_exact(matrix) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M) of an integer matrix.
 
-    Faddeev-LeVerrier trace recursion over arbitrary-precision integers; the
-    per-step divisions are exact for integer input.  Each step multiplies by
-    M row by row over its nonzero entries, so a matrix with a bounded number
-    of nonzeros per row (ring and path Laplacians have at most three) costs
-    O(n**2) per step instead of O(n**3).  Returns a monic polynomial of
-    degree n with ascending coefficients.
+    A ring-shaped matrix -- n >= 3 and every nonzero entry on the cyclic
+    diagonals (i, i) and (i, i +- 1 mod n), as ring and path Laplacians and
+    every 3-by-3 matrix are -- goes through the transfer-matrix determinant
+    (:func:`_transfer_char_poly`), O(n**2) coefficient operations.  Every
+    other matrix, n <= 2 included, goes through the Faddeev-LeVerrier trace
+    recursion (:func:`_faddeev_leverrier`).  Both run on Python integers and
+    read only the matrix entries.  Returns a monic polynomial of degree n
+    with ascending coefficients.
     """
     rows = [[int(v) for v in row] for row in matrix]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
+    if n >= 3 and all(v == 0 or (j - i) % n in (0, 1, n - 1)
+                      for i, row in enumerate(rows) for j, v in enumerate(row)):
+        return IntPolynomial(_transfer_char_poly(rows))
+    return IntPolynomial(_faddeev_leverrier(rows))
+
+
+def _transfer_char_poly(rows: list[list[int]]) -> list[int]:
+    """det(xI - M) of a ring-shaped n-by-n matrix, n >= 3, ascending coefficients.
+
+    With a_i = x - m_(i,i), b_i = -m_(i,i+1) and c_i = -m_(i+1,i), indices
+    mod n, the periodic Jacobi determinant is
+
+        det(xI - M) = tr(T_n ... T_1) + (-1)**(n+1) * (prod b_i + prod c_i),
+        T_i = [[a_i, -b_(i-1) c_(i-1)], [1, 0]].
+
+    The product is built one factor at a time; its two columns each follow
+    the three-term recurrence p_i = a_i p_(i-1) - b_(i-1) c_(i-1) p_(i-2),
+    one O(n) pass per factor on plain lists.  Only +, - and * are used, so
+    the same code runs over ``Fraction`` entries.
+    """
+    n = len(rows)
+    up = [rows[i][(i + 1) % n] for i in range(n)]    # -b_i
+    down = [rows[(i + 1) % n][i] for i in range(n)]  # -c_i
+    zero = [0] * (n + 1)
+    # columns (top, bottom) of T_i ... T_1, starting from the identity
+    top1, bot1 = [1] + zero[1:], zero
+    top2, bot2 = zero, [1] + zero[1:]
+    for i in range(n):
+        m, d = rows[i][i], up[i - 1] * down[i - 1]
+        top1, bot1 = [s - m * t - d * u for s, t, u in zip([0] + top1, top1, bot1)], top1
+        top2, bot2 = [s - m * t - d * u for s, t, u in zip([0] + top2, top2, bot2)], top2
+    coeffs = [t + u for t, u in zip(top1, bot2)]
+    # (-1)**(n+1) (prod b + prod c) = -(prod up + prod down)
+    coeffs[0] -= math.prod(up) + math.prod(down)
+    return coeffs
+
+
+def _faddeev_leverrier(rows: list[list[int]]) -> list[int]:
+    """det(xI - M) by the trace recursion, ascending coefficients.
+
+    The per-step divisions are exact for integer input.  Each step
+    multiplies by M row by row over its nonzero entries, so a matrix with a
+    bounded number of nonzeros per row costs O(n**2) per step instead of
+    O(n**3).
+    """
+    n = len(rows)
     aux = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     cs = [0] * (n + 1)
     cs[n] = 1  # leading coefficient of x**n
@@ -572,7 +623,7 @@ def char_poly_exact(matrix) -> IntPolynomial:
         cs[n - k] = ck
         for i in range(n):
             aux[i][i] += ck
-    return IntPolynomial(cs)
+    return cs
 
 
 def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

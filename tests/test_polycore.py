@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from ringspec.polycore import (
     eval_real,
     landmark_roots,
     poly_mul,
+    poly_product,
     poly_shift_const,
     product_bound_witness,
     product_polynomial,
@@ -67,6 +69,86 @@ class TestIntPolynomial:
     def test_str(self):
         assert str(z_poly(2)) == "x^2 - 3x + 1"
         assert str(IntPolynomial([0])) == "0"
+
+
+def schoolbook(*factors):
+    """Coefficient list of the product, one convolution at a time."""
+    out = [1]
+    for f in factors:
+        acc = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                acc[i + j] += a * b
+        out = acc
+    return out
+
+
+class TestKroneckerProduct:
+    def test_random_signed_factors_match_schoolbook(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            top = 10 ** rng.choice([1, 5, 20, 40])
+            factors = [[rng.randint(-top, top) for _ in range(rng.randint(1, 12))]
+                       for _ in range(rng.randint(1, 6))]
+            for f in factors:
+                f[-1] = f[-1] or 1
+            expected = IntPolynomial(schoolbook(*factors))
+            assert poly_product(IntPolynomial(f) for f in factors) == expected
+            if len(factors) == 2:
+                assert poly_mul(IntPolynomial(factors[0]),
+                                IntPolynomial(factors[1])) == expected
+
+    def test_extreme_coefficients_and_mixed_degrees(self):
+        big = 10 ** 40
+        cases = [
+            [[big, -big], [-big, big, big]],
+            [[-big] * 30, [big, 1], [1, -big]],
+            [[0, 0, 0, big], [-1]],
+            [[1] + [0] * 50 + [-1], [big, big]],
+        ]
+        for factors in cases:
+            expected = IntPolynomial(schoolbook(*factors))
+            assert poly_product(IntPolynomial(f) for f in factors) == expected, factors
+
+    def test_zero_constant_and_empty_products(self):
+        zero, p = IntPolynomial([0]), IntPolynomial([3, -1, 2])
+        assert poly_product([zero]).is_zero()
+        assert poly_product([p, zero, p]).is_zero()
+        assert poly_mul(zero, p).is_zero() and poly_mul(p, zero).is_zero()
+        assert poly_product([IntPolynomial([-7]), IntPolynomial([5])]) == IntPolynomial([-35])
+        assert poly_mul(IntPolynomial([-1]), p) == -p
+        assert poly_product([]) == IntPolynomial([1])
+
+    def test_single_factor_is_returned_unchanged(self):
+        for f in ([5], [0, 1], [-(10 ** 40), 3, 0, -(10 ** 39)], z_poly(30).coefficients):
+            assert poly_product([IntPolynomial(f)]) == IntPolynomial(f)
+
+    def test_many_factors(self):
+        rng = random.Random(5)
+        factors = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [1]
+                   for _ in range(40)]
+        expected = IntPolynomial(schoolbook(*factors))
+        assert poly_product(IntPolynomial(f) for f in factors) == expected
+        gaps = [1, 2, 2, 3, 5, 8, 13, 1, 1, 4]
+        assert poly_product(z_poly(g) for g in gaps) == IntPolynomial(
+            schoolbook(*(z_poly(g).coefficients for g in gaps)))
+
+    def test_product_polynomial_matches_schoolbook(self):
+        for ks in ([1], [3, 3], [2, 5, 7], [1, 1, 1, 1, 9]):
+            for p in (0, 1):
+                coeffs = schoolbook(*(cheb_u(2 * k).coefficients for k in ks))
+                coeffs[0] += (-1) ** p
+                assert product_polynomial(ks, p) == IntPolynomial(coeffs), (ks, p)
+
+    def test_digits_beyond_the_count_raise(self):
+        import ringspec.polycore as pc
+
+        coeffs = [5, -3, 0, 7, -1] * 8
+        value = pc._pack(coeffs, 6)
+        assert pc._unpack(value, 6, len(coeffs)) == coeffs
+        for extra in (1, -1):
+            with pytest.raises(ArithmeticError):
+                pc._unpack(value + (extra << (6 * len(coeffs))), 6, len(coeffs))
 
 
 class TestFamilies:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 
 import pytest
 
-from ringspec import rootfind
+from ringspec import polycore, rootfind
 from ringspec.polycore import poly_mul, poly_shift_const, z_poly
 from ringspec.ringgraph import (
     CASE_BALANCED,
@@ -47,6 +48,15 @@ def assert_real_spectrum(expected, spectrum, n):
 def all_masks(n):
     for bits in range(2 ** n):
         yield tuple(bool((bits >> j) & 1) for j in range(n))
+
+
+def partitions(total, least=1):
+    """Nondecreasing tuples of positive integers summing to total."""
+    if total == 0:
+        yield ()
+    for first in range(least, total + 1):
+        for rest in partitions(total - first, first):
+            yield (first,) + rest
 
 
 class TestModel:
@@ -167,12 +177,45 @@ class TestCharPoly:
             raise AssertionError("the exact route called the numeric oracle")
 
         # replacing the code objects catches every name bound to these functions
-        for fn in (rootfind.char_poly_exact, rootfind._int_mat_mul):
+        for fn in (rootfind.char_poly_exact, rootfind._int_mat_mul,
+                   rootfind._transfer_char_poly):
             monkeypatch.setattr(fn, "__code__", unavailable.__code__)
         for n in range(3, 11):
             for mask in all_masks(n):
                 coeffs = char_poly(RingDigraph(n, mask)).coefficients
                 assert len(coeffs) == n + 1 and coeffs[-1] == 1 and coeffs[0] == 0
+
+    def test_oracle_never_calls_the_gap_product(self, monkeypatch):
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the oracle called the exact route's product")
+
+        graphs = [RingDigraph(n, mask) for n in range(3, 10) for mask in all_masks(n)]
+        expected = [char_poly(g) for g in graphs]
+        path = [[0] * 40 for _ in range(40)]
+        for i in range(40):
+            path[i][i] = 2 if i < 39 else 1
+            if i > 0:
+                path[i][i - 1] = path[i - 1][i] = -1
+        z40 = z_poly(40)
+        for fn in (polycore.poly_mul, polycore.poly_product, polycore._pack, polycore._unpack,
+                   polycore._digits, polycore._balanced_low):
+            monkeypatch.setattr(fn, "__code__", unavailable.__code__)
+        for g, poly in zip(graphs, expected):
+            assert char_poly_exact(laplacian(g)) == poly, (g.n, g.mask_string())
+        assert char_poly_exact(path) == z40
+
+    def test_gap_product_matches_the_matrix_on_every_multiset(self):
+        # one mask per partition of n (all parts 1 is the bare cycle), plus
+        # the symmetric ring: beyond the exhaustive n <= 12 of criterion 02
+        for n in range(13, 21):
+            graphs = [RingDigraph(n, (True,) * n)]
+            for parts in partitions(n):
+                absent = set(itertools.accumulate(parts))
+                g = RingDigraph(n, [j not in absent for j in range(1, n + 1)])
+                assert sorted(decompose(g).gaps) == (sorted(parts) if len(parts) < n else [])
+                graphs.append(g)
+            for g in graphs:
+                assert char_poly(g) == char_poly_exact(laplacian(g)), (n, g.mask_string())
 
     def test_single_and_double_gap_reduce_to_shifted_products(self):
         for n in range(3, 11):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -533,6 +534,10 @@ class TestSquareFreePart:
         assert square_free_part(IntPolynomial([3, 2])) == (3, 2)
 
 
+def _unavailable(*args, **kwargs):
+    raise AssertionError("this route must not be taken")
+
+
 class TestCharPolyExact:
     def test_tridiagonal_matches_z_family(self):
         for n in range(1, 9):
@@ -553,6 +558,48 @@ class TestCharPolyExact:
         assert char_poly_exact(laplacian(g)).coefficients == (0, 3, -3, 1)
 
     def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            char_poly_exact([[1, 2, 3], [4, 5, 6]])
+
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(ValueError):
+            char_poly_exact([[1, 2, 3], [4, 5, 6], [7, 8]])
+
+    def test_transfer_route_matches_faddeev_leverrier(self):
+        rng = random.Random(29)
+        for _ in range(3000):
+            n = rng.randint(3, 9)
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in (i - 1, i, i + 1):
+                    m[i][j % n] = rng.randint(-5, 5)
+            expected = rootfind._faddeev_leverrier(m)
+            assert rootfind._transfer_char_poly(m) == expected, m
+            assert list(char_poly_exact(m).coefficients) == expected, m
+
+    def test_ring_shaped_matrices_skip_faddeev_leverrier(self, monkeypatch):
+        monkeypatch.setattr(rootfind._int_mat_mul, "__code__", _unavailable.__code__)
+        for n in range(3, 9):
+            for bits in range(2 ** n):
+                g = RingDigraph(n, [(bits >> j) & 1 for j in range(n)])
+                assert char_poly_exact(laplacian(g)) == char_poly(g), (n, bits)
+        for n in (3, 4, 10, 40):
+            path = [[0] * n for _ in range(n)]
+            for i in range(n):
+                path[i][i] = 2 if i < n - 1 else 1
+                if i > 0:
+                    path[i][i - 1] = path[i - 1][i] = -1
+            assert char_poly_exact(path) == z_poly(n), n
+
+    def test_other_matrices_take_faddeev_leverrier(self, monkeypatch):
+        off_pattern = laplacian(RingDigraph.from_mask_string(6, "101101"))
+        off_pattern[1][3] = 3  # one nonzero off the three cyclic diagonals
+        small = [[[3]], [[1, 2], [3, 4]], [[0, -1], [-1, 0]]]
+        expected = [rootfind._faddeev_leverrier(m) for m in [off_pattern] + small]
+        assert expected[1:] == [[-3, 1], [-2, -5, 1], [-1, 0, 1]]
+        monkeypatch.setattr(rootfind._transfer_char_poly, "__code__", _unavailable.__code__)
+        for m, cs in zip([off_pattern] + small, expected):
+            assert list(char_poly_exact(m).coefficients) == cs, m
         with pytest.raises(ValueError):
             char_poly_exact([[1, 2, 3], [4, 5, 6]])
 
