@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -81,7 +82,14 @@ def _cmd_spectrum(args) -> int:
 def _cmd_scan(args) -> int:
     if args.n_min < 3 or args.n_max < args.n_min:
         raise ValueError(f"need 3 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
-    results = [exhaustive_scan(n) for n in range(args.n_min, args.n_max + 1)]
+    results = []
+    for n in range(args.n_min, args.n_max + 1):
+        start = time.perf_counter()
+        r = exhaustive_scan(n)
+        print(f"scan n={n}: {r['instances']} masks, {r['decompositions']} decompositions, "
+              f"{r['multisets']} multisets solved, "
+              f"{1000 * (time.perf_counter() - start):.1f} ms", file=sys.stderr)
+        results.append(r)
     instances = sum(r["instances"] for r in results)
     disagreements = sorted((r["n"], m) for r in results for m in r["disagreements"])
     ambiguous = sorted((r["n"], m) for r in results for m in r["ambiguous"])
@@ -89,6 +97,8 @@ def _cmd_scan(args) -> int:
         "n_min": args.n_min,
         "n_max": args.n_max,
         "instances": instances,
+        "decompositions": sum(r["decompositions"] for r in results),
+        "multisets": sum(r["multisets"] for r in results),
         "disagreements": [{"n": n, "mask": m} for n, m in disagreements],
         "ambiguous": [{"n": n, "mask": m} for n, m in ambiguous],
         "message": f"{len(disagreements)} disagreements over {instances} instances",

@@ -221,8 +221,11 @@ def poly_product(factors: Iterable[IntPolynomial]) -> IntPolynomial:
     into the integer sum_k c_k * 2**(bits*k) without its coefficients
     overlapping, one big-integer product (in C) multiplies them all, and the
     product's coefficients are that integer's balanced base-2**bits digits.
-    The empty product is 1.
+    The empty product is 1; a lone factor comes back as it is, unpacked.
     """
+    factors = list(factors)
+    if len(factors) == 1:
+        return factors[0]
     coeff_lists = [f.coefficients for f in factors]
     bound = 1
     for cs in coeff_lists:

@@ -22,6 +22,7 @@ gaps, the symmetric ring and the bare cycle, have their own formulas here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,7 +56,7 @@ class RingDigraph:
     def __init__(self, n: int, reverse_mask):
         if n < 3:
             raise ValueError(f"ring digraphs need n >= 3, got {n}")
-        mask = tuple(bool(b) for b in reverse_mask)
+        mask = tuple(map(bool, reverse_mask))
         if len(mask) != n:
             raise ValueError(f"mask length {len(mask)} != n = {n}")
         object.__setattr__(self, "n", n)
@@ -111,14 +112,12 @@ def laplacian(g: RingDigraph) -> list[list[int]]:
 
 def decompose(g: RingDigraph) -> GapDecomposition:
     """Gap decomposition of the mask's false positions."""
-    absent = [j for j in range(1, g.n + 1) if not g.reverse_mask[j - 1]]
+    absent = [j for j, present in enumerate(g.reverse_mask, 1) if not present]
     k = len(absent)
     if k == 0 or k == g.n:
         return GapDecomposition(k, ())
-    gaps = [
-        (absent[(idx + 1) % k] - pos) % g.n or g.n
-        for idx, pos in enumerate(absent)
-    ]
+    gaps = [b - a for a, b in zip(absent, absent[1:])]
+    gaps.append(absent[0] + g.n - absent[-1])
     return GapDecomposition(k, tuple(gaps))
 
 
@@ -143,8 +142,11 @@ def char_poly(g: RingDigraph) -> IntPolynomial:
     is the Chebyshev closed form W_n - 2*(-1)**n with W_n(x) = 2*T_n((x-2)/2)
     (:func:`ringspec.polycore.w_poly`).  No branch calls the numeric oracle.
     """
-    dec = decompose(g)
-    n = g.n
+    return _gap_char_poly(g.n, decompose(g))
+
+
+def _gap_char_poly(n: int, dec: GapDecomposition) -> IntPolynomial:
+    """:func:`char_poly` of any n-vertex mask with decomposition ``dec``."""
     if dec.K == n:
         coeffs = [math.comb(n, i) * (-1) ** (n - i) for i in range(n + 1)]
         return poly_shift_const(IntPolynomial(coeffs), -((-1) ** n))
@@ -183,8 +185,11 @@ def classify_exact(g: RingDigraph) -> Classification:
       the eigenvalues are then the squares of the product's n largest
       roots.  Every other mask has a conjugate pair and no formula.
     """
-    dec = decompose(g)
-    n = g.n
+    return _classify_gaps(g.n, decompose(g))
+
+
+def _classify_gaps(n: int, dec: GapDecomposition) -> Classification:
+    """:func:`classify_exact` of any n-vertex mask with decomposition ``dec``."""
     if dec.K == n:
         return Classification(True, CASE_FULL_CYCLE, tuple(
             complex(2 * math.sin(math.pi * k / n) ** 2, math.sin(2 * math.pi * k / n))
@@ -211,9 +216,10 @@ def classification_record(
 ) -> dict:
     """JSON-ready record of the full classification of one ring digraph."""
     dec = decompose(g)
-    cls = classify_exact(g)
+    cls = _classify_gaps(g.n, dec)
+    poly = _gap_char_poly(g.n, dec)
     if spectrum is None and cfg is not None:
-        spectrum = spectrum_numeric(g, cfg)
+        spectrum = rootfind.aberth_roots(poly, cfg)
     if spectrum is not None:
         spec_json = spectrum.to_json()
     elif cls.closed_form_spectrum is not None:
@@ -228,7 +234,7 @@ def classification_record(
         "essentially_cyclic": cls.essentially_cyclic,
         "case": cls.case,
         "spectrum": spec_json,
-        "char_poly": char_poly(g).to_json(),
+        "char_poly": poly.to_json(),
     }
 
 
@@ -243,35 +249,43 @@ def slowest_complex_pair(roots: ComplexRootSet, imag_threshold: float = 1e-6) ->
 def exhaustive_scan(n: int, cfg: RootFinderConfig = RootFinderConfig()) -> dict:
     """Compare the exact classifier with the numeric verdict over all 2**n masks.
 
-    Masks with the same gap multiset share a characteristic polynomial (the
-    product of Z factors does not depend on gap order), so the numeric
-    verdict is memoized per (K, sorted gaps): the gap product, the root
-    solve and the verdict run once per multiset, the exact classifier on
-    every mask.  Returns mask strings of any disagreements and of masks
-    where the numeric verdict was ambiguous, both sorted.
+    Each mask is built and decomposed once.  Both verdicts are memoized per
+    gap decomposition: the exact classifier runs on every distinct gap
+    decomposition, which is all it reads.  Masks with the same gap multiset
+    share a characteristic polynomial (the product of Z factors does not
+    depend on gap order), so the gap product, the root solve and the numeric
+    verdict run once per (K, sorted gaps).  Returns mask strings of any
+    disagreements and of masks where the numeric verdict was ambiguous, both
+    sorted, and how many decompositions were classified and multisets solved.
     """
-    verdicts: dict[tuple, bool | None] = {}
+    verdicts: dict[GapDecomposition, tuple[bool, bool | None]] = {}
+    numeric: dict[tuple, bool | None] = {}
     disagreements: list[str] = []
     ambiguous: list[str] = []
-    for bits in range(2 ** n):
-        mask = tuple(bool((bits >> j) & 1) for j in range(n))
+    for mask in itertools.product((False, True), repeat=n):
         g = RingDigraph(n, mask)
         dec = decompose(g)
-        key = (dec.K, tuple(sorted(dec.gaps)))
-        if key not in verdicts:
-            try:
-                verdicts[key] = rootfind.spectral_verdict(
-                    rootfind.aberth_roots(char_poly(g), cfg), cfg)
-            except rootfind.AmbiguousSpectrumError:
-                verdicts[key] = None
-        numeric = verdicts[key]
-        if numeric is None:
+        pair = verdicts.get(dec)
+        if pair is None:
+            key = (dec.K, tuple(sorted(dec.gaps)))
+            if key not in numeric:
+                try:
+                    numeric[key] = rootfind.spectral_verdict(
+                        rootfind.aberth_roots(_gap_char_poly(n, dec), cfg), cfg)
+                except rootfind.AmbiguousSpectrumError:
+                    numeric[key] = None
+            pair = verdicts[dec] = (_classify_gaps(n, dec).essentially_cyclic, numeric[key])
+        exact, verdict = pair
+        if verdict is None:
             ambiguous.append(g.mask_string())
-        elif numeric != classify_exact(g).essentially_cyclic:
+        elif verdict != exact:
             disagreements.append(g.mask_string())
     return {
         "n": n,
         "instances": 2 ** n,
         "disagreements": sorted(disagreements),
         "ambiguous": sorted(ambiguous),
+        "decompositions": len(verdicts),
+        "multisets": len(numeric),
     }
+

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import ringspec
-from ringspec import cli
+from ringspec import cli, ringgraph
 from ringspec.cli import main
 from ringspec.ringgraph import RingDigraph, closed_form_spectrum
 from ringspec.rootfind import RootFinderConfig
@@ -32,6 +32,23 @@ class TestClassify:
         assert rec["essentially_cyclic"] is False
         assert rec["case"] == "single-gap"
         assert rec["K"] == 1
+
+    def test_classify_decomposes_once(self, capsys, monkeypatch):
+        calls = []
+        decompose = ringgraph.decompose
+
+        def counting(g):
+            calls.append(g)
+            return decompose(g)
+
+        monkeypatch.setattr(ringgraph, "decompose", counting)
+        mask = "1" * 17 + "0" + "1" * 9 + "0" + "1" * 5 + "0" + "1" * 6
+        code, out, _ = run(capsys, "classify", "40", mask)
+        rec = json.loads(out)
+        assert code == 0
+        assert len(calls) == 1
+        assert (rec["K"], rec["gaps"], rec["case"]) == (3, [10, 6, 24], "multi-gap")
+        assert rec["char_poly"] == ringgraph.char_poly(calls[0]).to_json()
 
     def test_balanced_example(self, capsys):
         code, out, _ = run(capsys, "classify", "10", "0111101111")
@@ -153,6 +170,22 @@ class TestScan:
         assert rec["instances"] == 8 + 16 + 32
         assert rec["disagreements"] == []
         assert rec["message"] == "0 disagreements over 56 instances"
+
+    def test_counters_per_size(self, capsys):
+        code, out, err = run(capsys, "scan", "--n-min", "3", "--n-max", "5")
+        rec = json.loads(out)
+        assert code == 0
+        # 2**(n-1) + 1 gap decompositions and p(n) + 1 gap multisets per size
+        assert rec["decompositions"] == 5 + 9 + 17
+        assert rec["multisets"] == 4 + 6 + 8
+        lines = err.splitlines()
+        assert len(lines) == 3
+        for line, (n, masks, decs, sets) in zip(lines, [(3, 8, 5, 4), (4, 16, 9, 6),
+                                                         (5, 32, 17, 8)]):
+            head, ms = line.rsplit(", ", 1)
+            assert head == (f"scan n={n}: {masks} masks, {decs} decompositions, "
+                            f"{sets} multisets solved")
+            assert ms.endswith(" ms") and float(ms[:-3]) >= 0
 
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "scan", "--n-min", "2", "--n-max", "4")

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ringspec import polycore
 from ringspec.polycore import (
     IntPolynomial,
     cheb_u,
@@ -122,6 +123,16 @@ class TestKroneckerProduct:
     def test_single_factor_is_returned_unchanged(self):
         for f in ([5], [0, 1], [-(10 ** 40), 3, 0, -(10 ** 39)], z_poly(30).coefficients):
             assert poly_product([IntPolynomial(f)]) == IntPolynomial(f)
+
+    def test_lone_factor_is_not_packed(self, monkeypatch):
+        def unavailable(*args, **kwargs):
+            raise AssertionError("a lone factor went through the Kronecker packing")
+
+        monkeypatch.setattr(polycore, "_pack", unavailable)
+        for f in ([5], [0], [0, 1], [-(10 ** 40), 3, 0, -(10 ** 39)], z_poly(30).coefficients):
+            assert poly_product(iter([IntPolynomial(f)])) == IntPolynomial(f)
+        assert poly_product([]) == IntPolynomial([1])
+        assert poly_product(iter(())) == IntPolynomial([1])
 
     def test_many_factors(self):
         rng = random.Random(5)

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from ringspec import polycore, rootfind
+from ringspec import polycore, ringgraph, rootfind
 from ringspec.polycore import poly_mul, poly_shift_const, z_poly
 from ringspec.ringgraph import (
     CASE_BALANCED,
@@ -19,6 +19,7 @@ from ringspec.ringgraph import (
     CASE_SINGLE_GAP,
     CASE_SPLIT,
     CASE_SYMMETRIC,
+    Classification,
     RingDigraph,
     arcs,
     canonical_form,
@@ -69,6 +70,21 @@ class TestModel:
             RingDigraph.from_mask_string(4, "10x1")
         with pytest.raises(ValueError):
             RingDigraph.from_mask_string(4, "101")
+
+    def test_any_iterable_mask_becomes_a_tuple_of_bools(self):
+        bits = (1, 0, 1, 1, 0)
+        for mask in ([1, 0, 1, 1, 0], (b for b in bits), bits):
+            g = RingDigraph(5, mask)
+            assert g.reverse_mask == (True, False, True, True, False)
+            assert all(type(b) is bool for b in g.reverse_mask)
+        assert RingDigraph(5, [1, 0, 1, 1, 0]) == RingDigraph(5, (True, False, True, True, False))
+        with pytest.raises(ValueError):
+            RingDigraph(5, (b for b in (1, 0, 1, 1)))
+        with pytest.raises(ValueError):
+            RingDigraph(5, [1] * 6)
+        for n in (2, 1, 0, -1):
+            with pytest.raises(ValueError):
+                RingDigraph(n, [1] * n)
 
     def test_mask_string_round_trip(self):
         g = RingDigraph.from_mask_string(5, "01101")
@@ -394,9 +410,46 @@ class TestScan:
             gaps = [(b - a) % n or n for a, b in zip(absent, absent[1:] + absent[:1])]
             multisets.add(tuple(sorted(gaps)))
         res = exhaustive_scan(n)
-        assert len(solves) == len(multisets)
+        assert len(solves) == len(multisets) == res["multisets"]
+        # one decomposition per composition of n, plus K = 0 and K = n
+        assert res["decompositions"] == 2 ** (n - 1) + 1
         assert res["disagreements"] == []
         assert res["ambiguous"] == []
+
+    def test_memo_keeps_gap_order(self, monkeypatch):
+        # flip the exact verdict of one ordered gap tuple only: the scan must
+        # report exactly its masks, not the rotations with the same multiset
+        n, flipped = 8, (2, 3, 3)
+        classify_gaps = ringgraph._classify_gaps
+        decompose_calls = []
+        real_decompose = ringgraph.decompose
+
+        def flipping(size, dec):
+            cls = classify_gaps(size, dec)
+            if size == n and dec.gaps == flipped:
+                return Classification(not cls.essentially_cyclic, cls.case,
+                                      cls.closed_form_spectrum)
+            return cls
+
+        def counting(g):
+            decompose_calls.append(g)
+            return real_decompose(g)
+
+        expected = sorted(RingDigraph(n, mask).mask_string() for mask in all_masks(n)
+                          if decompose(RingDigraph(n, mask)).gaps == flipped)
+        rotations = {RingDigraph(n, mask).mask_string() for mask in all_masks(n)
+                     if decompose(RingDigraph(n, mask)).gaps in ((3, 2, 3), (3, 3, 2))}
+        monkeypatch.setattr(ringgraph, "_classify_gaps", flipping)
+        monkeypatch.setattr(ringgraph, "decompose", counting)
+        res = exhaustive_scan(n)
+        assert len(expected) == 3 and len(rotations) == 5
+        assert res["disagreements"] == expected
+        assert not rotations & set(res["disagreements"])
+        assert res["ambiguous"] == []
+        assert len(decompose_calls) == 2 ** n
+        decompose_calls.clear()
+        exhaustive_scan(5)
+        assert len(decompose_calls) == 2 ** 5
 
     def test_no_refinement_up_to_twelve(self, monkeypatch):
         # every real spectrum comes out of the solve on the real axis
