@@ -17,13 +17,13 @@ import numpy as np
 
 from .ringgraph import (
     RingDigraph,
-    classify_exact,
+    _classify_gaps,
+    _gap_char_poly,
     decompose,
     laplacian,
     slowest_complex_pair,
-    spectrum_numeric,
 )
-from .rootfind import RootFinderConfig
+from .rootfind import RootFinderConfig, aberth_roots
 
 #: step * (spectral-radius bound) must stay below this for the explicit scheme.
 STABILITY_MARGIN = 0.1
@@ -139,10 +139,12 @@ def oscillation_report(
 
     Bundles the exact cyclicity verdict, the slowest-decaying conjugate pair
     of the numeric spectrum, the measured dominant frequency of a simulation
-    started at e_1, and their relative deviation.
+    started at e_1, and their relative deviation.  The mask is decomposed
+    once, for the verdict and the characteristic polynomial alike.
     """
-    cls = classify_exact(g)
-    spectrum = spectrum_numeric(g, root_cfg)
+    dec = decompose(g)
+    cls = _classify_gaps(g.n, dec)
+    spectrum = aberth_roots(_gap_char_poly(g.n, dec), root_cfg)
     pair = slowest_complex_pair(spectrum, root_cfg.imag_threshold)
     sim_cfg = cfg
     if cfg.initial_state is None:
@@ -157,7 +159,7 @@ def oscillation_report(
     return {
         "n": g.n,
         "mask": g.mask_string(),
-        "K": decompose(g).K,
+        "K": dec.K,
         "case": cls.case,
         "essentially_cyclic": cls.essentially_cyclic,
         "slowest_pair": [pair.real, pair.imag] if pair is not None else None,

@@ -12,8 +12,11 @@ One Aberth iteration serves both arithmetics, on one route: the exact
 square-free factorization of p (Yun's algorithm) splits it into factors whose
 roots are all simple, and each factor is solved from its own companion
 matrix's eigenvalues, in Python complex or, when the config sets a working
-precision in decimal digits, in fixed point: complex numbers held as two
-Python integers on a 2**-bits grid (:class:`_FixedComplex`).  Double
+precision in decimal digits, in fixed point: each iterate is two Python
+integers on a 2**-bits grid, and the sweep (:func:`_fixed_aberth`) computes
+on those integers directly, flooring every product and quotient to the grid
+and keeping every sum exact; :class:`_FixedComplex` only carries its starts
+and roots.  Double
 precision is enough for degrees up to roughly 12; beyond that the monomial
 basis becomes badly conditioned near the ends of the root interval
 (evaluation noise grows like 6**degree).  Every evaluation goes through one
@@ -25,7 +28,8 @@ Newton's method, run on the square-free part p / gcd(p, p')
 (:func:`square_free_part`), computed exactly.  It has the same roots as p,
 all simple, so Newton converges quadratically even where p has a double or
 triple root.  Roots found in fixed point start their polishing with all their
-digits.
+digits, and :func:`refine_all` puts the square-free part on the grid once
+for a whole root set.
 """
 
 from __future__ import annotations
@@ -118,9 +122,9 @@ def _horner(cs: Sequence, z):
     """p(z), p'(z) and pbar(|z|) = sum |c_k| |z|**k in one synthetic-division pass.
 
     ``cs`` holds ascending coefficients.  p and p' are computed in the
-    arithmetic of ``cs`` and ``z`` (Python float and complex, or
-    :class:`_FixedComplex`); pbar only scales the rounding noise, so it is
-    accumulated in double.
+    arithmetic of ``cs`` and ``z`` (Python float and complex;
+    :func:`_fixed_horner` is the same pass in fixed point); pbar only scales
+    the rounding noise, so it is accumulated in double.
     """
     az = float(abs(z))
     pv, dv, pbar = cs[-1], 0, abs(float(cs[-1]))
@@ -188,10 +192,11 @@ def aberth_roots(p, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSe
             ok = False
         else:
             if fixed:
-                cs, zs, eps = _fixed_point(factor, zs, cfg.working_dps)
+                terms, zs, bits = _fixed_point(factor, zs, cfg.working_dps)
+                zs, ok = _fixed_aberth(terms, zs, bits, cfg.convergence_tol, cfg.max_iterations)
             else:
-                cs, eps = [float(c) for c in factor], sys.float_info.epsilon
-            zs, ok = _aberth(cs, zs, cfg.convergence_tol, cfg.max_iterations, eps)
+                zs, ok = _aberth([float(c) for c in factor], zs, cfg.convergence_tol,
+                                 cfg.max_iterations, sys.float_info.epsilon)
         found += [z for z in zs for _ in range(multiplicity)]
         converged = converged and ok
     roots = tuple(complex(z) for z in found)
@@ -202,14 +207,11 @@ def aberth_roots(p, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSe
 class _FixedComplex:
     """(re + i im) * 2**-bits, with re and im Python integers.
 
-    The number type of the working-precision route: it has exactly what
-    :func:`_horner`, :func:`_is_noise` and :func:`_aberth` use.  Sums are
-    exact; products and quotients are truncated to the 2**-bits grid, an
-    absolute error below 2**-bits per component.  Both operands of an
-    operation share ``bits``; a Python int operand is lifted to the grid
-    exactly, and arithmetic with any other type raises ``TypeError``.
-    ``abs`` and ``float`` answer in double precision, infinite where the
-    value overflows it, and ``float`` accepts only a real value.
+    The value type of the working-precision route: its starts, its roots in
+    ``ComplexRootSet.working`` and nothing else.  The iteration itself
+    (:func:`_fixed_aberth`) computes on the ``re`` and ``im`` integers.
+    ``abs`` and ``complex`` answer in double precision, infinite where the
+    value overflows it.
     """
 
     __slots__ = ("re", "im", "bits")
@@ -233,57 +235,13 @@ class _FixedComplex:
         (rn, rd), (imn, imd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
         return cls((rn << bits) // rd, (imn << bits) // imd, bits)
 
-    def _lift(self, other) -> "_FixedComplex":
-        """An int operand on this number's grid, exactly."""
-        if type(other) is not int:
-            raise TypeError(f"no fixed-point arithmetic with {type(other).__name__}")
-        return _FixedComplex(other << self.bits, 0, self.bits)
-
-    def __add__(self, other):
-        if type(other) is not _FixedComplex:
-            other = self._lift(other)
-        return _FixedComplex(self.re + other.re, self.im + other.im, self.bits)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is not _FixedComplex:
-            other = self._lift(other)
-        return _FixedComplex(self.re - other.re, self.im - other.im, self.bits)
-
-    def __mul__(self, other):
-        if type(other) is not _FixedComplex:
-            other = self._lift(other)
-        a, b, c, d, bits = self.re, self.im, other.re, other.im, self.bits
-        return _FixedComplex((a * c - b * d) >> bits, (a * d + b * c) >> bits, bits)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if type(other) is not _FixedComplex:
-            other = self._lift(other)
-        a, b, c, d, bits = self.re, self.im, other.re, other.im, self.bits
-        den = c * c + d * d  # ZeroDivisionError below when other is 0
-        return _FixedComplex(((a * c + b * d) << bits) // den,
-                             ((b * c - a * d) << bits) // den, bits)
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
     def __eq__(self, other):
-        if type(other) is int:
-            other = self._lift(other)
-        elif type(other) is not _FixedComplex:
+        if type(other) is not _FixedComplex:
             return NotImplemented
         return (self.re, self.im, self.bits) == (other.re, other.im, other.bits)
 
     def __abs__(self) -> float:
-        return math.hypot(_scaled_down(self.re, self.bits), _scaled_down(self.im, self.bits))
-
-    def __float__(self) -> float:
-        if self.im:
-            raise TypeError("float() of a non-real fixed-point number")
-        return _scaled_down(self.re, self.bits)
+        return _fixed_abs(self.re, self.im, 1 << self.bits)
 
     def __complex__(self) -> complex:
         return complex(_scaled_down(self.re, self.bits), _scaled_down(self.im, self.bits))
@@ -300,28 +258,41 @@ def _scaled_down(n: int, bits: int) -> float:
         return math.inf if n > 0 else -math.inf
 
 
+def _fixed_abs(re: int, im: int, one: int) -> float:
+    """|re + i im| / one in double precision, infinite beyond its range."""
+    try:
+        x, y = re / one, im / one
+    except OverflowError:
+        return math.inf
+    return math.hypot(x, y)
+
+
 #: bits beyond ceil(dps * log2(10)), so that the last requested digit is not
 #: the one the truncations wear down
 _GUARD_BITS = 16
 
 
 def _fixed_point(coeffs, starts, dps: int):
-    """A polynomial and its starts in fixed point: (cs, starts, eps).
+    """A polynomial and its starts in fixed point: (terms, starts, bits).
 
-    ``cs`` are the exact primitive integer coefficients of ``coeffs`` (see
-    :func:`_integer_coefficients`) on the grid, ``eps`` is 2**-bits.  The
-    grid keeps ``dps`` significant digits on every nonzero root: besides
-    ceil(dps * log2(10)) and a guard, ``bits`` covers Cauchy's lower bound
-    |r| >= |c_m| / (|c_m| + max_{k > m} |c_k|) on the nonzero roots r,
-    where c_m is the lowest nonzero coefficient.
+    ``terms`` holds a pair (c_k * 2**bits, |c_k| in double) for each of the
+    exact primitive integer coefficients c_k of ``coeffs`` (see
+    :func:`_integer_coefficients`), descending from the leading one, as
+    :func:`_fixed_horner` reads them; the starts are :class:`_FixedComplex`
+    on the same grid.  The grid keeps ``dps`` significant digits on every
+    nonzero root: besides ceil(dps * log2(10)) and a guard, ``bits`` covers
+    Cauchy's lower bound |r| >= |c_m| / (|c_m| + max_{k > m} |c_k|) on the
+    nonzero roots r, where c_m is the lowest nonzero coefficient.  It
+    depends on the coefficients and ``dps`` alone, so any number of starts
+    share it.
     """
     ints = _integer_coefficients(coeffs)[1]
     low = next(c for c in ints if c)
     top = max(map(abs, ints[ints.index(low) + 1:]), default=0)
     bits = (math.ceil(dps * math.log2(10)) + _GUARD_BITS
             + max(0, top.bit_length() - abs(low).bit_length()) + 2)
-    return ([_FixedComplex(c << bits, 0, bits) for c in ints],
-            [_FixedComplex.of(z, bits) for z in starts], math.ldexp(1.0, -bits))
+    terms = [(c << bits, _scaled_down(abs(c), 0)) for c in reversed(ints)]
+    return terms, [_FixedComplex.of(z, bits) for z in starts], bits
 
 
 #: the smallest start nudge, relative to max(1, |z|): enough to leave the real
@@ -346,6 +317,8 @@ def _companion_starts(coeffs: tuple) -> list[complex]:
 def _aberth(cs: Sequence, starts: Sequence, tol, max_iterations: int, eps):
     """Aberth-Ehrlich iteration over the number type of ``cs`` and ``starts``.
 
+    The double-precision route runs it on floats and complex numbers;
+    :func:`_fixed_aberth` takes the same steps on the fixed-point grid.
     Returns (roots, converged).  The correction p / (p' - p * sum_j
     1/(z_i - z_j)) is applied in place, one root at a time; with one start
     there are no neighbours and it is Newton's step.  A root settles when its
@@ -391,6 +364,95 @@ def _aberth(cs: Sequence, starts: Sequence, tol, max_iterations: int, eps):
         if sweep and not moved:
             return z, False
     return z, False
+
+
+def _fixed_horner(terms: Sequence[tuple[int, float]], zr: int, zi: int, bits: int, one: int):
+    """:func:`_horner` at z = (zr + i zi) * 2**-bits, on plain integers.
+
+    ``terms`` holds (c_k * 2**bits, |c_k|) pairs, descending from the leading
+    coefficient, and ``one`` is 2**bits.  Returns (pr, pi, dr, di, pbar) with
+    p(z) = (pr + i pi) * 2**-bits and p'(z) = (dr + i di) * 2**-bits: each
+    product is floored to the grid, an error below 2**-bits per component,
+    and each sum is exact.  pbar(|z|) is accumulated in double.
+    """
+    az = _fixed_abs(zr, zi, one)
+    it = iter(terms)
+    pr, pbar = next(it)
+    pi = dr = di = 0
+    for c, m in it:
+        dr, di = ((dr * zr - di * zi) >> bits) + pr, ((dr * zi + di * zr) >> bits) + pi
+        pr, pi = ((pr * zr - pi * zi) >> bits) + c, (pr * zi + pi * zr) >> bits
+        pbar = pbar * az + m
+    return pr, pi, dr, di, pbar
+
+
+def _on_grid(zr: list[int], zi: list[int], bits: int) -> list[_FixedComplex]:
+    return [_FixedComplex(a, b, bits) for a, b in zip(zr, zi)]
+
+
+def _fixed_aberth(terms: Sequence[tuple[int, float]], starts: Sequence[_FixedComplex],
+                  bits: int, tol: float, max_iterations: int):
+    """:func:`_aberth` on the 2**-bits grid, with every step on plain integers.
+
+    ``terms`` and ``starts`` are as :func:`_fixed_point` puts them on the
+    grid.  Each root is a pair of integers; the evaluation is
+    :func:`_fixed_horner`, the neighbour sum adds the quotients
+    1 / (z_i - z_j) floored to the grid, and the correction
+    p / (p' - p * sum) floors its product and its quotient the same way:
+    the truncations of two-integer complex arithmetic with no object per
+    operation.  Settling, the noise floor (:func:`_is_noise` with
+    eps = 2**-bits) and every way to end unconverged are :func:`_aberth`'s.
+    Returns (roots as :class:`_FixedComplex`, converged).
+    """
+    one, two = 1 << bits, 2 * bits
+    # not math.ldexp: an underflowing ldexp leaves errno set, and CPython's
+    # abs() of a NaN complex then raises OverflowError
+    eps = 2.0 ** -bits
+    deg = len(terms) - 1
+    zr, zi = [z.re for z in starts], [z.im for z in starts]
+    count = len(zr)
+    active = range(count)
+    for sweep in range(max_iterations):
+        still = []
+        moved = False
+        for i in active:
+            ar, ai = zr[i], zi[i]
+            pr, pi, dr, di, pbar = _fixed_horner(terms, ar, ai, bits, one)
+            # the starts are perturbed on purpose, so every root takes one
+            # step before the noise floor may settle it
+            if sweep and _is_noise(_fixed_abs(pr, pi, one), pbar, deg, eps):
+                continue
+            sr = si = 0
+            for j in range(count):
+                if j != i:
+                    xr, xi = ar - zr[j], ai - zi[j]
+                    den = xr * xr + xi * xi
+                    if not den:
+                        return _on_grid(zr, zi, bits), False
+                    sr += (xr << two) // den
+                    si += -(xi << two) // den
+            er = dr - ((pr * sr - pi * si) >> bits)
+            ei = di - ((pr * si + pi * sr) >> bits)
+            if not (er or ei):  # no step from here; the neighbours may move
+                still.append(i)
+                continue
+            den = er * er + ei * ei
+            wr = ((pr * er + pi * ei) << bits) // den
+            wi = ((pi * er - pr * ei) << bits) // den
+            nr, ni = ar - wr, ai - wi
+            az = _fixed_abs(nr, ni, one)
+            if not az < math.inf:
+                return _on_grid(zr, zi, bits), False
+            zr[i], zi[i] = nr, ni
+            moved = True
+            if _fixed_abs(wr, wi, one) >= tol * max(1, az):
+                still.append(i)
+        active = still
+        if not active:
+            return _on_grid(zr, zi, bits), True
+        if sweep and not moved:
+            return _on_grid(zr, zi, bits), False
+    return _on_grid(zr, zi, bits), False
 
 
 def _primitive(a: list[int]) -> list[int]:
@@ -504,7 +566,11 @@ def _square_free_factors(p) -> list[tuple[list[int], int]]:
     return factors
 
 
-def refine_root(p, z: complex, dps: int = 60, max_steps: int = 90, *,
+#: Newton steps a root gets before :func:`refine_root` gives it up
+_NEWTON_STEPS = 90
+
+
+def refine_root(p, z: complex, dps: int = 60, max_steps: int = _NEWTON_STEPS, *,
                 square_free: bool = False) -> RefinedRoot:
     """Newton-polish one approximate root in high-precision arithmetic.
 
@@ -527,23 +593,38 @@ def refine_root(p, z: complex, dps: int = 60, max_steps: int = 90, *,
     if not cmath.isfinite(complex(z)):  # no point on the grid to start from
         return RefinedRoot(complex(z), False)
     coeffs = _coefficients(p) if square_free else square_free_part(p)
-    cs, starts, eps = _fixed_point(coeffs, [z], dps)
-    (zz,), converged = _aberth(cs, starts, 10.0 ** -(dps - 10), max_steps, eps)
-    return RefinedRoot(complex(zz), True) if converged else RefinedRoot(complex(z), False)
+    terms, (start,), bits = _fixed_point(coeffs, [z], dps)
+    value, converged = _newton(terms, start, bits, dps, max_steps)
+    return RefinedRoot(value, True) if converged else RefinedRoot(complex(z), False)
+
+
+def _newton(terms: Sequence[tuple[int, float]], start: _FixedComplex, bits: int, dps: int,
+            max_steps: int) -> tuple[complex, bool]:
+    """:func:`refine_root`'s iteration on a polynomial already on the grid."""
+    (z,), converged = _fixed_aberth(terms, [start], bits, 10.0 ** -(dps - 10), max_steps)
+    return complex(z), converged
 
 
 def refine_all(rootset: ComplexRootSet, dps: int = 60) -> ComplexRootSet:
     """Newton-polish every root of a converged root set on its square-free part.
 
+    The square-free part goes on the ``dps`` grid once for the whole set.
     Newton starts from the working-precision roots when the set carries
-    them, moved onto the ``dps`` grid by a bit shift, so digits already
-    found are not won back step by step.
+    them, moved onto that grid by a bit shift, so digits already found are
+    not won back step by step.  Each root is polished as by
+    :func:`refine_root`, and one that does not converge, or has no finite
+    start, keeps its value.
     """
     q = square_free_part(rootset.source)
-    refined = []
-    for z, start in zip(rootset.roots, rootset.working or rootset.roots):
-        rr = refine_root(q, start, dps=dps, square_free=True)
-        refined.append(rr.value if rr.converged else z)
+    refined = list(rootset.roots)
+    starts = rootset.working or rootset.roots
+    finite = [i for i, s in enumerate(starts) if cmath.isfinite(complex(s))]
+    if finite:
+        terms, grid, bits = _fixed_point(q, [starts[i] for i in finite], dps)
+        for i, start in zip(finite, grid):
+            value, converged = _newton(terms, start, bits, dps, _NEWTON_STEPS)
+            if converged:
+                refined[i] = value
     roots = tuple(refined)
     return ComplexRootSet(roots, _residuals(rootset.source, roots),
                           rootset.converged, rootset.source)
@@ -677,10 +758,13 @@ def spectral_verdict(rootset: ComplexRootSet, cfg: RootFinderConfig = RootFinder
     if not rootset.converged:
         raise NonConvergenceError("root set did not converge; no verdict possible")
     imags = []
+    q = None
     for z in rootset.roots:
         ai = abs(z.imag)
         if cfg.convergence_tol < ai <= SUSPICIOUS_IMAG_BAND:
-            rr = refine_root(rootset.source, z)
+            if q is None:
+                q = square_free_part(rootset.source)
+            rr = refine_root(q, z, square_free=True)
             if rr.converged:
                 ai = abs(rr.value.imag)
         imags.append(ai)

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from ringspec import dynamics, ringgraph
 from ringspec.dynamics import (
     SimConfig,
     Trajectory,
@@ -214,6 +215,21 @@ class TestOscillationReport:
         assert rep["essentially_cyclic"] is True
         assert rep["predicted_frequency"] > 0.1
         assert rep["relative_deviation"] < 0.10
+
+    def test_mask_is_decomposed_once(self, monkeypatch):
+        calls = []
+        decompose = ringgraph.decompose
+
+        def counting_decompose(g):
+            calls.append(g.mask_string())
+            return decompose(g)
+
+        for module in (dynamics, ringgraph):
+            monkeypatch.setattr(module, "decompose", counting_decompose)
+        g = RingDigraph.from_mask_string(6, "011010")
+        rep = oscillation_report(g, SimConfig(step=0.02, horizon=5.0))
+        assert calls == ["011010"]
+        assert (rep["K"], rep["case"]) == (3, ringgraph.classify_exact(g).case)
 
 
 class TestCsv:

@@ -32,15 +32,21 @@ CFG = RootFinderConfig()
 
 
 def _count_horner(monkeypatch) -> list[int]:
-    """Count rootfind._horner calls; the count is the list's one entry."""
+    """Count Horner evaluations in either arithmetic; the count is the list's one entry.
+
+    Double precision and the residuals evaluate with rootfind._horner, the
+    fixed-point iteration with rootfind._fixed_horner.
+    """
     calls = [0]
-    horner = rootfind._horner
 
-    def counting_horner(cs, z):
-        calls[0] += 1
-        return horner(cs, z)
+    def counting(horner):
+        def counted(*args):
+            calls[0] += 1
+            return horner(*args)
+        return counted
 
-    monkeypatch.setattr(rootfind, "_horner", counting_horner)
+    for name in ("_horner", "_fixed_horner"):
+        monkeypatch.setattr(rootfind, name, counting(getattr(rootfind, name)))
     return calls
 
 
@@ -284,38 +290,61 @@ CERTIFIED_MASKS = ["0" + "1" * 15, "0" + "1" * 19, "1111111011111110", "11111111
 
 
 class TestFixedPoint:
-    def test_arithmetic_errs_below_one_grid_step(self):
+    def test_value_type_lands_on_the_grid_exactly(self):
         bits = 80
         rng = np.random.default_rng(5)
         # doubles, so that they land on the grid exactly
         exact = [(Fraction(int(re), 2 ** 40), Fraction(int(im), 2 ** 50))
                  for re, im in rng.integers(-2 ** 52, 2 ** 52, size=(40, 2))]
-        fixed = [rootfind._FixedComplex.of(complex(float(a), float(b)), bits) for a, b in exact]
-        grid = Fraction(1, 2 ** bits)
-        for (a, b), x in zip(exact, fixed):
+        for a, b in exact:
+            x = rootfind._FixedComplex.of(complex(float(a), float(b)), bits)
             assert (Fraction(x.re, 2 ** bits), Fraction(x.im, 2 ** bits)) == (a, b)
-        for (a, b), x, (c, d), y in zip(exact, fixed, exact[1:], fixed[1:]):
-            den = c * c + d * d
-            for got, want in [(x + y, (a + c, b + d)), (x - y, (a - c, b - d)),
-                              (x * y, (a * c - b * d, a * d + b * c)),
-                              (x / y, ((a * c + b * d) / den, (b * c - a * d) / den))]:
-                err = [Fraction(v, 2 ** bits) - w for v, w in zip((got.re, got.im), want)]
-                assert all(-grid < e <= 0 for e in err)
             assert complex(x) == complex(float(a), float(b))
             assert abs(x) == pytest.approx(abs(complex(x)), rel=1e-15)
-        x = fixed[0]
-        assert 0 + x == x and 0 * x == 0 and abs((1 / x) * x - 1) < 1e-20
-        assert x != 0 and rootfind._FixedComplex(0, 0, bits) == 0
-        with pytest.raises(ZeroDivisionError):
-            x / rootfind._FixedComplex(0, 0, bits)
+            # a root found on a coarse grid moves to a finer one exactly
+            finer = rootfind._FixedComplex.of(x, bits + 30)
+            assert finer == rootfind._FixedComplex(x.re << 30, x.im << 30, bits + 30)
+            assert rootfind._FixedComplex.of(finer, bits) == x
+        assert x != rootfind._FixedComplex(0, 0, bits) and x != complex(x)
+        assert repr(x) == f"_FixedComplex({complex(x)!r}, bits={bits})"
+        huge = rootfind._FixedComplex(1 << 2000, -1, bits)
+        assert abs(huge) == math.inf and complex(huge).real == math.inf
+        # the iteration computes on re and im; the value type has no arithmetic
         with pytest.raises(TypeError):
-            float(x)
-        with pytest.raises(TypeError):
-            x * 0.5
-        huge = rootfind._FixedComplex(1 << 2000, 0, bits)
-        assert abs(huge) == float(huge) == math.inf
-        # a root found on a coarse grid moves to a finer one exactly
-        assert rootfind._FixedComplex.of(x, bits + 30).re == x.re << 30
+            x + x
+
+    def test_horner_errs_within_the_noise_bound(self):
+        # each of Horner's deg products is floored to the grid, an error below
+        # sqrt(2) * 2**-bits, and the remaining steps multiply it by |z|**k:
+        # |error of p(z)| < sqrt(2) * 2**-bits * sum_{k < deg} |z|**k, the
+        # bound _is_noise assumes; p'(z) accumulates at most deg**2 such errors
+        bits = 80
+        one, grid = 1 << bits, Fraction(1, 1 << bits)
+        rng = random.Random(41)
+        for trial in range(300):
+            deg = rng.randint(1, 14)
+            ints = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(deg)] + [rng.randint(1, 99)]
+            size = rng.choice([2.0 ** -30, 0.01, 0.5, 1.0, 2.0, 7.0])
+            x = rootfind._FixedComplex.of(
+                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * size, bits)
+            terms = [(c << bits, float(abs(c))) for c in reversed(ints)]
+            pr, pi, dr, di, pbar = rootfind._fixed_horner(terms, x.re, x.im, bits, one)
+            zr, zi = Fraction(x.re, one), Fraction(x.im, one)
+            vr = vi = wr = wi = Fraction(0)  # p and p' exactly, by Horner over Fraction
+            for c in reversed(ints):
+                wr, wi = wr * zr - wi * zi + vr, wr * zi + wi * zr + vi
+                vr, vi = vr * zr - vi * zi + c, vr * zi + vi * zr
+            az = abs(x)
+            bound = math.sqrt(2) * math.ldexp(sum(az ** k for k in range(deg)), -bits)
+            p_err = (Fraction(pr, one) - vr, Fraction(pi, one) - vi)
+            assert math.hypot(*map(float, p_err)) < bound, (trial, ints, x)
+            d_err = (Fraction(dr, one) - wr, Fraction(di, one) - wi)
+            assert math.hypot(*map(float, d_err)) < deg * deg * max(1.0, az) ** (deg - 1) \
+                * math.sqrt(2) * math.ldexp(1.0, -bits), (trial, ints, x)
+            assert pbar == pytest.approx(sum(abs(c) * az ** k for k, c in enumerate(ints)),
+                                         rel=1e-12)
+            if deg == 2:  # c_2 z is exact, so p(z) has one floored product
+                assert all(-grid < e <= 0 for e in p_err), (trial, ints, x)
 
     @pytest.mark.parametrize("name, p, tol", [
         # (10**30 x - 1)(x - 1)(x - 2): one root at 1e-30, where the grid
@@ -390,18 +419,10 @@ class TestRefinement:
         poly, closed = path_matrix_spectrum(40)
         rs = aberth_roots(poly, RootFinderConfig(working_dps=70))
         q = square_free_part(poly)
-        calls = 0
-        horner = rootfind._horner
-
-        def counting_horner(cs, z):
-            nonlocal calls
-            calls += 1
-            return horner(cs, z)
-
-        monkeypatch.setattr(rootfind, "_horner", counting_horner)
+        calls = _count_horner(monkeypatch)
         refined = [refine_root(q, z, square_free=True) for z in rs.roots]
         assert all(rr.converged for rr in refined)
-        assert calls <= 10 * len(refined)
+        assert 0 < calls[0] <= 10 * len(refined)
         match_multisets(closed, [rr.value for rr in refined], 1e-9)
 
     def test_refine_all_starts_from_the_working_roots(self, monkeypatch):
@@ -431,17 +452,9 @@ class TestRefinement:
     def test_stuck_start_gives_up_after_one_repeated_sweep(self, monkeypatch):
         # a lone start with p' = 0 never moves, so a second sweep that moves
         # nothing ends the iteration instead of spending all max_steps
-        calls = 0
-        horner = rootfind._horner
-
-        def counting_horner(cs, z):
-            nonlocal calls
-            calls += 1
-            return horner(cs, z)
-
-        monkeypatch.setattr(rootfind, "_horner", counting_horner)
+        calls = _count_horner(monkeypatch)
         assert refine_root(IntPolynomial([1, 0, 1]), 0j) == (0j, False)
-        assert calls <= 2
+        assert 0 < calls[0] <= 2
 
     def test_refine_all_restores_split_doubles(self):
         # near-balanced two-gap digraph: all roots real, several double
@@ -576,6 +589,12 @@ class TestCharPolyExact:
             expected = rootfind._faddeev_leverrier(m)
             assert rootfind._transfer_char_poly(m) == expected, m
             assert list(char_poly_exact(m).coefficients) == expected, m
+            # the recurrence over Fraction entries: det(xI - M/q) has the
+            # coefficients c_k / q**(n - k) of det(xI - M)
+            q = rng.randint(2, 9)
+            scaled = [[Fraction(v, q) for v in row] for row in m]
+            assert rootfind._transfer_char_poly(scaled) == [
+                Fraction(c, q ** (n - k)) for k, c in enumerate(expected)], (m, q)
 
     def test_ring_shaped_matrices_skip_faddeev_leverrier(self, monkeypatch):
         monkeypatch.setattr(rootfind._int_mat_mul, "__code__", _unavailable.__code__)
