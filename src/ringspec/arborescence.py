@@ -26,7 +26,7 @@ from typing import Sequence
 
 from . import rootfind
 from .polycore import IntPolynomial
-from .ringgraph import RingDigraph, arcs
+from .ringgraph import RingDigraph, arcs, laplacian
 
 BRUTE_FORCE_LIMIT = 9
 
@@ -255,8 +255,6 @@ def path_matrix_spectrum(n: int) -> tuple[IntPolynomial, list[float]]:
 
 def count_record(g: RingDigraph) -> dict:
     """JSON-ready per-root and total counts for one ring digraph."""
-    from .ringgraph import laplacian
-
     counts = count_by_cofactor(laplacian(g))
     return {
         "n": g.n,

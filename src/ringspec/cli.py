@@ -25,6 +25,7 @@ from .ringgraph import (
     classification_record,
     closed_form_spectrum,
     exhaustive_scan,
+    laplacian,
     spectrum_numeric,
 )
 from .rootfind import (
@@ -139,38 +140,40 @@ def _parse_k3_weights(text: str) -> weighted.WeightMatrix:
         "k3 weights must be [a,b,c,alpha,beta,gamma] or a 3x3 matrix")
 
 
-def _cmd_weighted(args) -> int:
-    if args.family == "k3":
-        wm = _parse_k3_weights(args.weights)
-        unit, e = weighted.unit_scaled(wm)
-        disc = weighted.k3_discriminant(unit)
-        cfg = RootFinderConfig()
-        verdict = spectral_verdict(
-            aberth_roots(char_poly_float(weighted.weighted_laplacian(unit)), cfg), cfg)
-        payload = {
-            "weights": [list(r) for r in wm.w],
-            # a quadratic form in the weights, so it scales by 2**(2e)
-            "discriminant": math.ldexp(disc, 2 * e),
-            "triangle_criterion": weighted.k3_classify(unit),
-            "essentially_cyclic": disc < 0,
-            "numeric_essentially_cyclic": verdict,
-        }
-        _emit(payload, args.json)
-        return EXIT_OK
-    if args.family == "chorded-c4":
-        y1, y2 = weighted.chorded_c4_boundary(args.p)
-        _emit({"p": args.p, "boundary": [y1, y2]}, args.json)
-        return EXIT_OK
-    if args.family == "c4":
-        grid_max = (args.a_max, args.x_max)
-        if not all(math.isfinite(v) and v > 0 for v in grid_max) or args.steps < 2:
-            raise ValueError("need finite positive a-max/x-max and steps >= 2")
-        a_grid = np.linspace(0.0, args.a_max, args.steps)
-        x_grid = np.linspace(0.0, args.x_max, args.steps)
-        samples = weighted.c4_scan(a_grid.tolist(), x_grid.tolist())
-        sys.stdout.write(weighted.scan_csv(samples))
-        return EXIT_OK
-    raise ValueError(f"unknown weighted family {args.family!r}")
+def _cmd_weighted_k3(args) -> int:
+    wm = _parse_k3_weights(args.weights)
+    unit, e = weighted.unit_scaled(wm)
+    disc = weighted.k3_discriminant(unit)
+    cfg = RootFinderConfig()
+    verdict = spectral_verdict(
+        aberth_roots(char_poly_float(weighted.weighted_laplacian(unit)), cfg), cfg)
+    payload = {
+        "weights": [list(r) for r in wm.w],
+        # a quadratic form in the weights, so it scales by 2**(2e)
+        "discriminant": math.ldexp(disc, 2 * e),
+        "triangle_criterion": weighted.k3_classify(unit),
+        "essentially_cyclic": disc < 0,
+        "numeric_essentially_cyclic": verdict,
+    }
+    _emit(payload, args.json)
+    return EXIT_OK
+
+
+def _cmd_weighted_chorded_c4(args) -> int:
+    y1, y2 = weighted.chorded_c4_boundary(args.p)
+    _emit({"p": args.p, "boundary": [y1, y2]}, args.json)
+    return EXIT_OK
+
+
+def _cmd_weighted_c4(args) -> int:
+    grid_max = (args.a_max, args.x_max)
+    if not all(math.isfinite(v) and v > 0 for v in grid_max) or args.steps < 2:
+        raise ValueError("need finite positive a-max/x-max and steps >= 2")
+    a_grid = np.linspace(0.0, args.a_max, args.steps)
+    x_grid = np.linspace(0.0, args.x_max, args.steps)
+    samples = weighted.c4_scan(a_grid.tolist(), x_grid.tolist())
+    sys.stdout.write(weighted.scan_csv(samples))
+    return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
@@ -183,8 +186,6 @@ def _cmd_simulate(args) -> int:
     if args.report:
         _emit(dynamics.oscillation_report(g, cfg), args.json)
     else:
-        from .ringgraph import laplacian
-
         traj = dynamics.simulate(laplacian(g), cfg)
         sys.stdout.write(dynamics.trajectory_csv(traj))
     return EXIT_OK
@@ -236,16 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--weights", required=True,
                     help='JSON: [a,b,c,alpha,beta,gamma] or 3x3 matrix')
     pk.add_argument("--json", action="store_true")
-    pk.set_defaults(fn=_cmd_weighted)
+    pk.set_defaults(fn=_cmd_weighted_k3)
     pc = wsub.add_parser("chorded-c4", help="4-cycle with a shortcut arc")
     pc.add_argument("--p", type=float, required=True, help="shortcut arc weight")
     pc.add_argument("--json", action="store_true")
-    pc.set_defaults(fn=_cmd_weighted)
+    pc.set_defaults(fn=_cmd_weighted_chorded_c4)
     p4 = wsub.add_parser("c4", help="weighted 4-cycle region scan (CSV)")
     p4.add_argument("--a-max", type=float, default=12.0)
     p4.add_argument("--x-max", type=float, default=12.0)
     p4.add_argument("--steps", type=int, default=50)
-    p4.set_defaults(fn=_cmd_weighted)
+    p4.set_defaults(fn=_cmd_weighted_c4)
 
     p = sub.add_parser("simulate", help="consensus trajectory / oscillation report")
     add_graph_args(p)

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ringgraph import (
-    RingDigraph,
-    _classify_gaps,
-    _gap_char_poly,
-    decompose,
-    laplacian,
-    slowest_complex_pair,
-)
+from .ringgraph import RingDigraph, char_poly, classify_exact, laplacian
 from .rootfind import RootFinderConfig, aberth_roots
 
 #: step * (spectral-radius bound) must stay below this for the explicit scheme.
@@ -130,22 +123,19 @@ def dominant_frequency(traj: Trajectory) -> float | None:
     return float(np.pi / spacings.mean())
 
 
-def oscillation_report(
-    g: RingDigraph,
-    cfg: SimConfig = SimConfig(),
-    root_cfg: RootFinderConfig = RootFinderConfig(),
-) -> dict:
+def oscillation_report(g: RingDigraph, cfg: SimConfig = SimConfig()) -> dict:
     """Predicted vs measured oscillation for one ring digraph.
 
     Bundles the exact cyclicity verdict, the slowest-decaying conjugate pair
-    of the numeric spectrum, the measured dominant frequency of a simulation
-    started at e_1, and their relative deviation.  The mask is decomposed
-    once, for the verdict and the characteristic polynomial alike.
+    of the numeric spectrum (among the roots with imaginary part above the
+    root finder's ``imag_threshold``, the one with the smallest real part),
+    the measured dominant frequency of a simulation started at e_1, and
+    their relative deviation.
     """
-    dec = decompose(g)
-    cls = _classify_gaps(g.n, dec)
-    spectrum = aberth_roots(_gap_char_poly(g.n, dec), root_cfg)
-    pair = slowest_complex_pair(spectrum, root_cfg.imag_threshold)
+    cls = classify_exact(g)
+    threshold = RootFinderConfig().imag_threshold
+    pair = min((z for z in aberth_roots(char_poly(g)).roots if z.imag > threshold),
+               key=lambda z: (z.real, -z.imag), default=None)
     sim_cfg = cfg
     if cfg.initial_state is None:
         e1 = tuple([1.0] + [0.0] * (g.n - 1))
@@ -159,7 +149,7 @@ def oscillation_report(
     return {
         "n": g.n,
         "mask": g.mask_string(),
-        "K": dec.K,
+        "K": g.decomposition.K,
         "case": cls.case,
         "essentially_cyclic": cls.essentially_cyclic,
         "slowest_pair": [pair.real, pair.imag] if pair is not None else None,

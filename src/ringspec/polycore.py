@@ -164,15 +164,23 @@ def _next_term(p1: IntPolynomial, p0: IntPolynomial, a: int) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-def cheb_u(n: int) -> IntPolynomial:
-    """Chebyshev polynomial of the second kind scaled to (-2, 2), degree n."""
+def _cached_term(cache: list[IntPolynomial], n: int, a: int) -> IntPolynomial:
+    """Term n of the recurrence p_k = (x - a) * p_{k-1} - p_{k-2} held in ``cache``.
+
+    The cache grows under :data:`_CACHE_LOCK` up to n as needed.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n >= len(_CHEB_CACHE):
+    if n >= len(cache):
         with _CACHE_LOCK:
-            while len(_CHEB_CACHE) <= n:
-                _CHEB_CACHE.append(_next_term(_CHEB_CACHE[-1], _CHEB_CACHE[-2], 0))
-    return _CHEB_CACHE[n]
+            while len(cache) <= n:
+                cache.append(_next_term(cache[-1], cache[-2], a))
+    return cache[n]
+
+
+def cheb_u(n: int) -> IntPolynomial:
+    """Chebyshev polynomial of the second kind scaled to (-2, 2), degree n."""
+    return _cached_term(_CHEB_CACHE, n, 0)
 
 
 def z_poly(n: int) -> IntPolynomial:
@@ -181,13 +189,7 @@ def z_poly(n: int) -> IntPolynomial:
     Satisfies z_poly(n).substitute_square() == cheb_u(2n); the constant term
     is (-1)**n.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n >= len(_Z_CACHE):
-        with _CACHE_LOCK:
-            while len(_Z_CACHE) <= n:
-                _Z_CACHE.append(_next_term(_Z_CACHE[-1], _Z_CACHE[-2], 2))
-    return _Z_CACHE[n]
+    return _cached_term(_Z_CACHE, n, 2)
 
 
 def w_poly(n: int) -> IntPolynomial:
@@ -199,13 +201,7 @@ def w_poly(n: int) -> IntPolynomial:
     2 - 2*cos(2*pi*k/n) = 4*sin(pi*k/n)**2), equivalently
     (-1)**n * (2*T_n((2-x)/2) - 2).
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n >= len(_W_CACHE):
-        with _CACHE_LOCK:
-            while len(_W_CACHE) <= n:
-                _W_CACHE.append(_next_term(_W_CACHE[-1], _W_CACHE[-2], 2))
-    return _W_CACHE[n]
+    return _cached_term(_W_CACHE, n, 2)
 
 
 def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:

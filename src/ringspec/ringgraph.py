@@ -48,7 +48,12 @@ CASE_MULTI_GAP = "multi-gap"
 
 @dataclass(frozen=True)
 class RingDigraph:
-    """Ring-structure digraph: size plus the presence mask of reverse arcs."""
+    """Ring-structure digraph: size plus the presence mask of reverse arcs.
+
+    ``decomposition`` holds the :class:`GapDecomposition` of the mask,
+    computed once by :func:`decompose` on construction.  It is not a field:
+    equality, hashing and the repr see n and the mask only.
+    """
 
     n: int
     reverse_mask: tuple[bool, ...]
@@ -61,6 +66,7 @@ class RingDigraph:
             raise ValueError(f"mask length {len(mask)} != n = {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "reverse_mask", mask)
+        object.__setattr__(self, "decomposition", decompose(self))
 
     @classmethod
     def from_mask_string(cls, n: int, mask: str) -> "RingDigraph":
@@ -142,11 +148,7 @@ def char_poly(g: RingDigraph) -> IntPolynomial:
     is the Chebyshev closed form W_n - 2*(-1)**n with W_n(x) = 2*T_n((x-2)/2)
     (:func:`ringspec.polycore.w_poly`).  No branch calls the numeric oracle.
     """
-    return _gap_char_poly(g.n, decompose(g))
-
-
-def _gap_char_poly(n: int, dec: GapDecomposition) -> IntPolynomial:
-    """:func:`char_poly` of any n-vertex mask with decomposition ``dec``."""
+    n, dec = g.n, g.decomposition
     if dec.K == n:
         coeffs = [math.comb(n, i) * (-1) ** (n - i) for i in range(n + 1)]
         return poly_shift_const(IntPolynomial(coeffs), -((-1) ** n))
@@ -185,11 +187,7 @@ def classify_exact(g: RingDigraph) -> Classification:
       the eigenvalues are then the squares of the product's n largest
       roots.  Every other mask has a conjugate pair and no formula.
     """
-    return _classify_gaps(g.n, decompose(g))
-
-
-def _classify_gaps(n: int, dec: GapDecomposition) -> Classification:
-    """:func:`classify_exact` of any n-vertex mask with decomposition ``dec``."""
+    n, dec = g.n, g.decomposition
     if dec.K == n:
         return Classification(True, CASE_FULL_CYCLE, tuple(
             complex(2 * math.sin(math.pi * k / n) ** 2, math.sin(2 * math.pi * k / n))
@@ -209,23 +207,14 @@ def spectrum_numeric(g: RingDigraph, cfg: RootFinderConfig = RootFinderConfig())
     return rootfind.aberth_roots(char_poly(g), cfg)
 
 
-def classification_record(
-    g: RingDigraph,
-    cfg: RootFinderConfig | None = None,
-    spectrum: ComplexRootSet | None = None,
-) -> dict:
-    """JSON-ready record of the full classification of one ring digraph."""
-    dec = decompose(g)
-    cls = _classify_gaps(g.n, dec)
-    poly = _gap_char_poly(g.n, dec)
-    if spectrum is None and cfg is not None:
-        spectrum = rootfind.aberth_roots(poly, cfg)
-    if spectrum is not None:
-        spec_json = spectrum.to_json()
-    elif cls.closed_form_spectrum is not None:
-        spec_json = [[z.real, z.imag] for z in cls.closed_form_spectrum]
-    else:
-        spec_json = None
+def classification_record(g: RingDigraph) -> dict:
+    """JSON-ready record of the full classification of one ring digraph.
+
+    The spectrum is the closed form where there is one, else null.
+    """
+    dec = g.decomposition
+    cls = classify_exact(g)
+    spectrum = cls.closed_form_spectrum
     return {
         "n": g.n,
         "mask": g.mask_string(),
@@ -233,30 +222,23 @@ def classification_record(
         "gaps": list(dec.gaps),
         "essentially_cyclic": cls.essentially_cyclic,
         "case": cls.case,
-        "spectrum": spec_json,
-        "char_poly": poly.to_json(),
+        "spectrum": None if spectrum is None else [[z.real, z.imag] for z in spectrum],
+        "char_poly": char_poly(g).to_json(),
     }
 
 
-def slowest_complex_pair(roots: ComplexRootSet, imag_threshold: float = 1e-6) -> complex | None:
-    """Among non-real roots, the one with smallest real part and positive imag."""
-    candidates = [z for z in roots.roots if z.imag > imag_threshold]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda z: (z.real, -z.imag))
-
-
-def exhaustive_scan(n: int, cfg: RootFinderConfig = RootFinderConfig()) -> dict:
+def exhaustive_scan(n: int) -> dict:
     """Compare the exact classifier with the numeric verdict over all 2**n masks.
 
-    Each mask is built and decomposed once.  Both verdicts are memoized per
-    gap decomposition: the exact classifier runs on every distinct gap
-    decomposition, which is all it reads.  Masks with the same gap multiset
-    share a characteristic polynomial (the product of Z factors does not
-    depend on gap order), so the gap product, the root solve and the numeric
-    verdict run once per (K, sorted gaps).  Returns mask strings of any
-    disagreements and of masks where the numeric verdict was ambiguous, both
-    sorted, and how many decompositions were classified and multisets solved.
+    Each mask is built, and so decomposed, once.  Both verdicts are memoized
+    per gap decomposition: :func:`classify_exact` runs on one mask of every
+    distinct gap decomposition, which is all it reads.  Masks with the same
+    gap multiset share a characteristic polynomial (the product of Z factors
+    does not depend on gap order), so :func:`char_poly`, the root solve and
+    the numeric verdict run once per (K, sorted gaps).  Returns mask strings
+    of any disagreements and of masks where the numeric verdict was
+    ambiguous, both sorted, and how many decompositions were classified and
+    multisets solved.
     """
     verdicts: dict[GapDecomposition, tuple[bool, bool | None]] = {}
     numeric: dict[tuple, bool | None] = {}
@@ -264,17 +246,17 @@ def exhaustive_scan(n: int, cfg: RootFinderConfig = RootFinderConfig()) -> dict:
     ambiguous: list[str] = []
     for mask in itertools.product((False, True), repeat=n):
         g = RingDigraph(n, mask)
-        dec = decompose(g)
+        dec = g.decomposition
         pair = verdicts.get(dec)
         if pair is None:
             key = (dec.K, tuple(sorted(dec.gaps)))
             if key not in numeric:
                 try:
                     numeric[key] = rootfind.spectral_verdict(
-                        rootfind.aberth_roots(_gap_char_poly(n, dec), cfg), cfg)
+                        rootfind.aberth_roots(char_poly(g)))
                 except rootfind.AmbiguousSpectrumError:
                     numeric[key] = None
-            pair = verdicts[dec] = (_classify_gaps(n, dec).essentially_cyclic, numeric[key])
+            pair = verdicts[dec] = (classify_exact(g).essentially_cyclic, numeric[key])
         exact, verdict = pair
         if verdict is None:
             ambiguous.append(g.mask_string())

@@ -232,8 +232,11 @@ def chorded_c4_boundary(p: float) -> tuple[float, float]:
     """The edges (y1, y2) of the window of positive y where the digraph is cyclic.
 
     The candidates are the positive real parts of the quartic's roots
-    (``numpy.roots``).  Each is bracketed by the midpoints to its neighbours
-    (by half the smallest candidate and twice the largest at the ends), and
+    (``numpy.roots``), and for p <= 1 also sqrt(4/27) * p**1.5 when that is
+    a positive double: the lower edge tends to it as p shrinks, and
+    ``numpy.roots`` no longer resolves it at small p.  Each candidate is
+    bracketed by the midpoints to its neighbours (by half the smallest
+    candidate and twice the largest at the ends), and
     only a bracket across which the exact discriminant, evaluated on
     ``Fraction`` values, changes sign holds an edge: the double-precision
     discriminant is rounding noise near the edges once p is large, and
@@ -258,7 +261,11 @@ def chorded_c4_boundary(p: float) -> tuple[float, float]:
     def cyclic(y: float) -> bool:
         return chorded_c4_discriminant(exact, Fraction(y)) < 0
 
-    ys = sorted(float(z.real) for z in np.roots(coeffs) if z.real > 0)
+    ys = [float(z.real) for z in np.roots(coeffs) if z.real > 0]
+    small_edge = math.sqrt(4 / 27) * p ** 1.5 if p <= 1 else 0.0
+    if small_edge > 0:
+        ys.append(small_edge)
+    ys.sort()
     cuts = ([0.5 * y for y in ys[:1]] + [0.5 * (a + b) for a, b in zip(ys, ys[1:])]
             + [2.0 * y for y in ys[-1:]])
     crossings = [_bisect(cyclic, lo, hi) for lo, hi in zip(cuts, cuts[1:])

@@ -101,7 +101,7 @@ def test_criterion_01_exhaustive_classification_agreement():
     start = time.monotonic()
     instances = 0
     for n in range(3, 13):
-        res = exhaustive_scan(n, CFG)
+        res = exhaustive_scan(n)
         assert res["disagreements"] == [], f"n={n}: {res['disagreements'][:5]}"
         assert res["ambiguous"] == [], f"n={n}: {res['ambiguous'][:5]}"
         instances += res["instances"]

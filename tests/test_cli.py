@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -259,6 +260,13 @@ class TestWeighted:
         assert code == 0
         assert rec["boundary"][0] == pytest.approx(0.266, abs=0.002)
         assert rec["boundary"][1] == pytest.approx(2.441, abs=0.002)
+
+    def test_chorded_boundary_at_small_p(self, capsys):
+        code, out, _ = run(capsys, "weighted", "chorded-c4", "--p", "1e-30")
+        rec = json.loads(out)
+        assert code == 0
+        assert rec["boundary"][0] == pytest.approx(3.849e-46, rel=1e-3)
+        assert rec["boundary"][1] == math.inf
 
     def test_chorded_boundary_not_found_exits_1(self, capsys):
         # at p = 1e-300 the sampled discriminant never changes sign

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ringspec import dynamics, ringgraph
+from ringspec import ringgraph
 from ringspec.dynamics import (
     SimConfig,
     Trajectory,
@@ -224,8 +224,7 @@ class TestOscillationReport:
             calls.append(g.mask_string())
             return decompose(g)
 
-        for module in (dynamics, ringgraph):
-            monkeypatch.setattr(module, "decompose", counting_decompose)
+        monkeypatch.setattr(ringgraph, "decompose", counting_decompose)
         g = RingDigraph.from_mask_string(6, "011010")
         rep = oscillation_report(g, SimConfig(step=0.02, horizon=5.0))
         assert calls == ["011010"]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import cmath
+import collections
+import dataclasses
 import itertools
 import json
 import math
@@ -20,6 +22,7 @@ from ringspec.ringgraph import (
     CASE_SPLIT,
     CASE_SYMMETRIC,
     Classification,
+    GapDecomposition,
     RingDigraph,
     arcs,
     canonical_form,
@@ -125,6 +128,15 @@ class TestDecompose:
         g = RingDigraph(5, (False,) * 5)
         dec = decompose(g)
         assert dec.K == 5 and dec.gaps == ()
+
+    def test_digraph_holds_its_decomposition_outside_its_fields(self):
+        g = RingDigraph.from_mask_string(8, "11011110")
+        h = RingDigraph(8, [True, True, False, True, True, True, True, False])
+        assert g.decomposition == decompose(g) == GapDecomposition(2, (5, 3))
+        assert g == h and hash(g) == hash(h) and {g: 1}[h] == 1
+        assert repr(g) == "RingDigraph(n=8, reverse_mask=(True, True, False, " \
+            "True, True, True, True, False))"
+        assert [f.name for f in dataclasses.fields(g)] == ["n", "reverse_mask"]
 
     def test_gaps_sum_to_n(self):
         for n in (5, 7, 10):
@@ -409,24 +421,59 @@ class TestScan:
             absent = [j for j in range(n) if not mask[j]]
             gaps = [(b - a) % n or n for a, b in zip(absent, absent[1:] + absent[:1])]
             multisets.add(tuple(sorted(gaps)))
+        classified, products = [], []
+        classify, product = ringgraph.classify_exact, ringgraph.char_poly
+
+        def counting_classify(g):
+            classified.append(g)
+            return classify(g)
+
+        def counting_product(g):
+            products.append(g)
+            return product(g)
+
+        monkeypatch.setattr(ringgraph, "classify_exact", counting_classify)
+        monkeypatch.setattr(ringgraph, "char_poly", counting_product)
         res = exhaustive_scan(n)
         assert len(solves) == len(multisets) == res["multisets"]
+        assert len(products) == len(multisets)
         # one decomposition per composition of n, plus K = 0 and K = n
         assert res["decompositions"] == 2 ** (n - 1) + 1
+        assert len(classified) == 2 ** (n - 1) + 1
         assert res["disagreements"] == []
         assert res["ambiguous"] == []
+
+    def test_layer_counts_from_three_to_twelve(self, monkeypatch):
+        # per n: 2**n decompositions, 2**(n-1) + 1 exact verdicts, and one
+        # gap product and one solve per gap multiset
+        calls = collections.Counter()
+        for module, name in ((ringgraph, "decompose"), (ringgraph, "classify_exact"),
+                             (ringgraph, "char_poly"), (rootfind, "aberth_roots")):
+            def counting(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        multisets = 0
+        for n in range(3, 13):
+            res = exhaustive_scan(n)
+            assert res["disagreements"] == [] and res["ambiguous"] == []
+            multisets += res["multisets"]
+        assert multisets == 278
+        assert dict(calls) == {"decompose": 8184, "classify_exact": 4102,
+                               "char_poly": 278, "aberth_roots": 278}
 
     def test_memo_keeps_gap_order(self, monkeypatch):
         # flip the exact verdict of one ordered gap tuple only: the scan must
         # report exactly its masks, not the rotations with the same multiset
         n, flipped = 8, (2, 3, 3)
-        classify_gaps = ringgraph._classify_gaps
+        classify = ringgraph.classify_exact
         decompose_calls = []
         real_decompose = ringgraph.decompose
 
-        def flipping(size, dec):
-            cls = classify_gaps(size, dec)
-            if size == n and dec.gaps == flipped:
+        def flipping(g):
+            cls = classify(g)
+            if g.n == n and g.decomposition.gaps == flipped:
                 return Classification(not cls.essentially_cyclic, cls.case,
                                       cls.closed_form_spectrum)
             return cls
@@ -439,7 +486,7 @@ class TestScan:
                           if decompose(RingDigraph(n, mask)).gaps == flipped)
         rotations = {RingDigraph(n, mask).mask_string() for mask in all_masks(n)
                      if decompose(RingDigraph(n, mask)).gaps in ((3, 2, 3), (3, 3, 2))}
-        monkeypatch.setattr(ringgraph, "_classify_gaps", flipping)
+        monkeypatch.setattr(ringgraph, "classify_exact", flipping)
         monkeypatch.setattr(ringgraph, "decompose", counting)
         res = exhaustive_scan(n)
         assert len(expected) == 3 and len(rotations) == 5
@@ -478,7 +525,7 @@ class TestScan:
 class TestRecord:
     def test_json_round_trip(self):
         g = RingDigraph.from_mask_string(10, "0111101111")
-        rec = classification_record(g, cfg=CFG)
+        rec = classification_record(g)
         text = json.dumps(rec)
         back = json.loads(text)
         assert back["n"] == 10

@@ -238,6 +238,17 @@ class TestChordedC4:
         assert chorded_c4_discriminant(1.0, y1 * 0.5) > 0
         assert chorded_c4_discriminant(1.0, 100.0) < 0
 
+    @pytest.mark.parametrize("p", [1e-20, 1e-50, 1e-100])
+    def test_window_at_small_p(self, p):
+        # the lower edge tends to sqrt(4/27) * p**1.5, far below what
+        # numpy.roots resolves; the window stays open to the right
+        y1, y2 = chorded_c4_boundary(p)
+        assert y2 == math.inf
+        assert y1 == pytest.approx(math.sqrt(4 / 27) * p ** 1.5, rel=1e-3)
+        exact = Fraction(p)
+        assert chorded_c4_discriminant(exact, Fraction(y1)) < 0
+        assert chorded_c4_discriminant(exact, Fraction(math.nextafter(y1, 0))) >= 0
+
     def test_sign_matches_numeric_spectrum(self):
         for p in (1.0, 2.0, 3.0, 5.0):
             for y in np.linspace(0.05, 8.0, 25):
