@@ -49,7 +49,6 @@ from .rootfind import (
     char_poly_exact,
     char_poly_float,
     refine_all,
-    refine_root,
     spectral_verdict,
 )
 
@@ -88,6 +87,5 @@ __all__ = [
     "char_poly_exact",
     "char_poly_float",
     "refine_all",
-    "refine_root",
     "spectral_verdict",
 ]

@@ -131,10 +131,14 @@ def _cmd_trees(args) -> int:
 
 def _parse_k3_weights(text: str) -> weighted.WeightMatrix:
     data = json.loads(text)
+    # JSON numbers only: bool is an int subclass and float() reads strings
     if isinstance(data, list) and len(data) == 6 and all(
-            isinstance(v, (int, float)) for v in data):
+            type(v) in (int, float) for v in data):
         return weighted.k3_matrix(*data)
     if isinstance(data, list) and len(data) == 3:
+        if not all(isinstance(row, list) and all(type(v) in (int, float) for v in row)
+                   for row in data):
+            raise ValueError("k3 weights must be JSON numbers")
         return weighted.WeightMatrix(data)
     raise ValueError(
         "k3 weights must be [a,b,c,alpha,beta,gamma] or a 3x3 matrix")

@@ -22,14 +22,14 @@ basis becomes badly conditioned near the ends of the root interval
 (evaluation noise grows like 6**degree).  Every evaluation goes through one
 Horner pass that also bounds its own rounding noise, and the iteration stops
 a root at that noise floor.
-Individual roots can also be polished after the fact with
-:func:`refine_root`: the same iteration from a single start, which is
-Newton's method, run on the square-free part p / gcd(p, p')
+Roots are polished after the fact by :func:`_polish`, the only Newton polish:
+the same iteration from a single start, which is Newton's method, run in
+fixed point at 60 digits on the square-free part p / gcd(p, p')
 (:func:`square_free_part`), computed exactly.  It has the same roots as p,
 all simple, so Newton converges quadratically even where p has a double or
-triple root.  Roots found in fixed point start their polishing with all their
-digits, and :func:`refine_all` puts the square-free part on the grid once
-for a whole root set.
+triple root.  :func:`refine_all` polishes a whole root set with it, starting
+from the roots found in fixed point with all their digits, and
+:func:`spectral_verdict` the few roots that land just off the real axis.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,16 +81,14 @@ class RootFinderConfig:
 
 @dataclass(frozen=True)
 class ComplexRootSet:
-    """Roots of a real-coefficient polynomial with per-root residuals.
+    """Roots of a real-coefficient polynomial, with what polishing them needs.
 
-    ``residuals[i]`` is |p(z_i)| / (sum|a_k| * max(1,|z_i|)**degree).  The
-    originating coefficients (ascending) ride along so that later refinement
-    does not need a second argument, and so do the unrounded roots of the
-    working-precision route, from which refinement starts.
+    The originating coefficients (ascending) ride along so that later
+    refinement does not need a second argument, and so do the unrounded
+    roots of the working-precision route, from which refinement starts.
     """
 
     roots: tuple[complex, ...]
-    residuals: tuple[float, ...]
     converged: bool
     source: tuple = field(default=(), repr=False)
     #: the roots at the working precision that found them, as
@@ -102,11 +100,6 @@ class ComplexRootSet:
 
     def to_json(self) -> list[list[float]]:
         return [[z.real, z.imag] for z in self.roots]
-
-
-class RefinedRoot(NamedTuple):
-    value: complex
-    converged: bool
 
 
 def _coefficients(p) -> tuple:
@@ -151,13 +144,6 @@ def _is_noise(pv, pbar, deg: int, eps) -> bool:
     return abs(pv) <= 4 * (deg + 1) * eps * pbar < math.inf
 
 
-def _residuals(coeffs: tuple, roots: Sequence[complex]) -> tuple[float, ...]:
-    deg = len(coeffs) - 1
-    scale_base = sum(abs(c) for c in map(float, coeffs))
-    return tuple(abs(_horner(coeffs, z)[0]) / (scale_base * max(1.0, abs(z)) ** deg)
-                 for z in roots)
-
-
 def aberth_roots(p, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSet:
     """All complex roots of p by simultaneous Aberth-Ehrlich iteration.
 
@@ -200,8 +186,7 @@ def aberth_roots(p, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSe
         found += [z for z in zs for _ in range(multiplicity)]
         converged = converged and ok
     roots = tuple(complex(z) for z in found)
-    return ComplexRootSet(roots, _residuals(coeffs, roots), converged, coeffs,
-                          tuple(found) if fixed else ())
+    return ComplexRootSet(roots, converged, coeffs, tuple(found) if fixed else ())
 
 
 class _FixedComplex:
@@ -566,68 +551,52 @@ def _square_free_factors(p) -> list[tuple[list[int], int]]:
     return factors
 
 
-#: Newton steps a root gets before :func:`refine_root` gives it up
-_NEWTON_STEPS = 90
+#: the digits :func:`_polish` works to, and the Newton steps a root gets
+#: before it is given up
+_POLISH_DPS = 60
+_POLISH_STEPS = 90
 
 
-def refine_root(p, z: complex, dps: int = 60, max_steps: int = _NEWTON_STEPS, *,
-                square_free: bool = False) -> RefinedRoot:
-    """Newton-polish one approximate root in high-precision arithmetic.
+def _polish(q, starts) -> list[complex | None]:
+    """Newton-polish each start on the square-free polynomial q.
 
-    Newton runs on :func:`square_free_part` of p, where every root is simple
-    and convergence is quadratic; ``square_free=True`` says p already is
-    square-free, so a caller refining many roots computes that part once.
-    Evaluation uses the exact coefficients (integers, or floats converted
-    losslessly), so split multiple roots collapse back onto the real axis
-    instead of stalling at the double-precision noise floor.  The iteration
-    is :func:`aberth_roots`' own, from the single start z in fixed point with
-    ``dps`` significant digits (see :func:`_fixed_point`; z may be a root
-    from ``ComplexRootSet.working``, which keeps its extra digits): it stops
-    when a step falls below 10**-(dps - 10) relative, or when |p(z)|
-    reaches the rounding noise of evaluating p; a degree-40 polynomial
-    reaches that floor before its steps get that small.
-    A non-finite start, divergence, a vanishing derivative or ``max_steps``
-    without settling returns the input, as a complex, with
-    ``converged=False``.
+    q goes on the grid of :func:`_fixed_point` with ``_POLISH_DPS`` digits
+    once, whatever the number of starts; each finite start then runs
+    :func:`_fixed_aberth` alone, which with no neighbours is Newton's step.
+    Evaluation uses q's exact coefficients, so split multiple roots collapse
+    back onto the real axis instead of stalling at the double-precision noise
+    floor.  A start may be a root from ``ComplexRootSet.working``, which
+    keeps its extra digits.  A root stops when a step falls below
+    10**-(_POLISH_DPS - 10) relative, or when |q(z)| reaches the noise of
+    evaluating q; a degree-40 polynomial reaches that floor before its
+    steps get that small.  Returns the polished value per start, or None
+    for a non-finite start, divergence, a vanishing derivative or
+    ``_POLISH_STEPS`` sweeps without settling.
     """
-    if not cmath.isfinite(complex(z)):  # no point on the grid to start from
-        return RefinedRoot(complex(z), False)
-    coeffs = _coefficients(p) if square_free else square_free_part(p)
-    terms, (start,), bits = _fixed_point(coeffs, [z], dps)
-    value, converged = _newton(terms, start, bits, dps, max_steps)
-    return RefinedRoot(value, True) if converged else RefinedRoot(complex(z), False)
+    terms, _, bits = _fixed_point(q, (), _POLISH_DPS)
+    polished = []
+    for s in starts:
+        if not cmath.isfinite(complex(s)):  # no point on the grid to start from
+            polished.append(None)
+            continue
+        (z,), converged = _fixed_aberth(terms, [_FixedComplex.of(s, bits)], bits,
+                                        10.0 ** -(_POLISH_DPS - 10), _POLISH_STEPS)
+        polished.append(complex(z) if converged else None)
+    return polished
 
 
-def _newton(terms: Sequence[tuple[int, float]], start: _FixedComplex, bits: int, dps: int,
-            max_steps: int) -> tuple[complex, bool]:
-    """:func:`refine_root`'s iteration on a polynomial already on the grid."""
-    (z,), converged = _fixed_aberth(terms, [start], bits, 10.0 ** -(dps - 10), max_steps)
-    return complex(z), converged
+def refine_all(rootset: ComplexRootSet) -> ComplexRootSet:
+    """Newton-polish every root of a root set on its square-free part.
 
-
-def refine_all(rootset: ComplexRootSet, dps: int = 60) -> ComplexRootSet:
-    """Newton-polish every root of a converged root set on its square-free part.
-
-    The square-free part goes on the ``dps`` grid once for the whole set.
-    Newton starts from the working-precision roots when the set carries
-    them, moved onto that grid by a bit shift, so digits already found are
-    not won back step by step.  Each root is polished as by
-    :func:`refine_root`, and one that does not converge, or has no finite
-    start, keeps its value.
+    The polish is :func:`_polish`.  It starts from the working-precision
+    roots when the set carries them, moved onto its grid by a bit shift, so
+    digits already found are not won back step by step.  A root that does
+    not converge, or has no finite start, keeps its value.  The result
+    carries the set's ``converged`` flag and source, and no working roots.
     """
-    q = square_free_part(rootset.source)
-    refined = list(rootset.roots)
-    starts = rootset.working or rootset.roots
-    finite = [i for i, s in enumerate(starts) if cmath.isfinite(complex(s))]
-    if finite:
-        terms, grid, bits = _fixed_point(q, [starts[i] for i in finite], dps)
-        for i, start in zip(finite, grid):
-            value, converged = _newton(terms, start, bits, dps, _NEWTON_STEPS)
-            if converged:
-                refined[i] = value
-    roots = tuple(refined)
-    return ComplexRootSet(roots, _residuals(rootset.source, roots),
-                          rootset.converged, rootset.source)
+    polished = _polish(square_free_part(rootset.source), rootset.working or rootset.roots)
+    roots = tuple(z if p is None else p for z, p in zip(rootset.roots, polished))
+    return ComplexRootSet(roots, rootset.converged, rootset.source)
 
 
 def char_poly_exact(matrix) -> IntPolynomial:
@@ -748,26 +717,24 @@ def char_poly_float(matrix) -> list[float]:
 def spectral_verdict(rootset: ComplexRootSet, cfg: RootFinderConfig = RootFinderConfig()) -> bool:
     """True when the spectrum genuinely contains a non-real eigenvalue.
 
-    Roots whose imaginary part falls in the suspicious band are first pushed
-    through :func:`refine_root` on the square-free part of the polynomial; a
-    real root that came out slightly off the axis collapses back, a true
-    conjugate pair does not.  If refinement leaves a root strictly between
-    the convergence tolerance and the imaginary threshold the answer is
-    undecidable and an :class:`AmbiguousSpectrumError` is raised.
+    Roots with |Im| in (convergence_tol, ``SUSPICIOUS_IMAG_BAND``] are first
+    polished by :func:`_polish` on the square-free part of the polynomial,
+    from their double values, with one grid for all of them; a real root
+    that came out slightly off the axis collapses back, a true conjugate
+    pair does not, and a root whose polish fails keeps its value.  If a root
+    is left strictly between the convergence tolerance and the imaginary
+    threshold the answer is undecidable and an
+    :class:`AmbiguousSpectrumError` is raised.
     """
     if not rootset.converged:
         raise NonConvergenceError("root set did not converge; no verdict possible")
-    imags = []
-    q = None
-    for z in rootset.roots:
-        ai = abs(z.imag)
-        if cfg.convergence_tol < ai <= SUSPICIOUS_IMAG_BAND:
-            if q is None:
-                q = square_free_part(rootset.source)
-            rr = refine_root(q, z, square_free=True)
-            if rr.converged:
-                ai = abs(rr.value.imag)
-        imags.append(ai)
+    imags = [abs(z.imag) for z in rootset.roots]
+    band = [i for i, ai in enumerate(imags) if cfg.convergence_tol < ai <= SUSPICIOUS_IMAG_BAND]
+    if band:
+        polished = _polish(square_free_part(rootset.source), [rootset.roots[i] for i in band])
+        for i, z in zip(band, polished):
+            if z is not None:
+                imags[i] = abs(z.imag)
     top = max(imags)
     if top > cfg.imag_threshold:
         return True

@@ -61,6 +61,8 @@ class WeightMatrix:
             w = tuple(tuple(float(v) for v in row) for row in rows)
         except TypeError as exc:
             raise ValueError(f"weights must be rows of numbers: {exc}") from None
+        except OverflowError as exc:  # an integer beyond double range
+            raise ValueError(f"weight out of double range: {exc}") from None
         n = len(w)
         if any(len(row) != n for row in w):
             raise ValueError("weight matrix must be square")

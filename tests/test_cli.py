@@ -327,6 +327,12 @@ class TestSimulate:
     ("weighted", "k3", "--weights", "[1e308,1e308,1e308,0,0,0]"),
     ("weighted", "k3", "--weights", "[1e110,1e110,1e110,0,0,0]"),
     ("simulate", "3", "000", "--x0", "1e308,-1e308,0", "--report"),
+    ("weighted", "k3", "--weights", "[1,2,3,0,0,true]"),
+    ("weighted", "k3", "--weights", "[[0,1,2],[1,0,1],[1,1,false]]"),
+    ("weighted", "k3", "--weights", '[["0","1","2"],["1","0","1"],["1","1","0"]]'),
+    # a finite JSON integer beyond double range, in either form
+    ("weighted", "k3", "--weights", "[" + "1" + "0" * 400 + ",2,3,0,0,0]"),
+    ("weighted", "k3", "--weights", "[[0," + "1" + "0" * 400 + ",2],[1,0,1],[1,1,0]]"),
 ])
 def test_malformed_or_non_finite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,4 +1,5 @@
-"""The modules of ringspec import only public names from one another."""
+"""The modules of ringspec import only public names from one another, and the
+package exports exactly the public names it imports."""
 
 from __future__ import annotations
 
@@ -29,3 +30,13 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert len(SOURCES) >= 9
     found = {path.name: private_imports(path.read_text()) for path in SOURCES}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_the_exports_resolve_and_match_the_imports():
+    exported = ringspec.__all__
+    assert [name for name in exported if not hasattr(ringspec, name)] == []
+    assert len(set(exported)) == len(exported)
+    init = Path(ringspec.__file__).read_text()
+    imported = [alias.asname or alias.name for node in ast.parse(init).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(exported) == sorted(name for name in imported if not name.startswith("_"))

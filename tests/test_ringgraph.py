@@ -35,7 +35,7 @@ from ringspec.ringgraph import (
     laplacian,
     spectrum_numeric,
 )
-from ringspec.rootfind import RootFinderConfig, char_poly_exact, refine_all
+from ringspec.rootfind import RootFinderConfig, char_poly_exact, refine_all, spectral_verdict
 from support import match_multisets, spectrum_tol
 
 CFG = RootFinderConfig()
@@ -501,17 +501,22 @@ class TestScan:
     def test_no_refinement_up_to_twelve(self, monkeypatch):
         # every real spectrum comes out of the solve on the real axis
         calls = []
-        refine_root = rootfind.refine_root
+        polish = rootfind._polish
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(args)
-            return refine_root(*args, **kwargs)
+            return polish(*args)
 
-        monkeypatch.setattr(rootfind, "refine_root", counting)
+        monkeypatch.setattr(rootfind, "_polish", counting)
         res = exhaustive_scan(12)
         assert calls == []
         assert res["disagreements"] == []
         assert res["ambiguous"] == []
+        # the patched name is the verdict's polish: classify 20 01...1
+        # --numeric has roots in the suspicious band
+        g = RingDigraph.from_mask_string(20, "0" + "1" * 19)
+        assert spectral_verdict(spectrum_numeric(g, CFG), CFG) is False
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("n", [15, 16])
     def test_symmetric_ring_double_roots_beyond_degree_twelve(self, n):

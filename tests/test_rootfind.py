@@ -14,7 +14,13 @@ import pytest
 from ringspec import rootfind
 from ringspec.arborescence import path_matrix_spectrum
 from ringspec.polycore import IntPolynomial, poly_mul, poly_shift_const, z_poly
-from ringspec.ringgraph import RingDigraph, char_poly, closed_form_spectrum, laplacian
+from ringspec.ringgraph import (
+    RingDigraph,
+    char_poly,
+    closed_form_spectrum,
+    laplacian,
+    spectrum_numeric,
+)
 from ringspec.rootfind import (
     AmbiguousSpectrumError,
     RootFinderConfig,
@@ -22,7 +28,6 @@ from ringspec.rootfind import (
     char_poly_exact,
     char_poly_float,
     refine_all,
-    refine_root,
     spectral_verdict,
     square_free_part,
 )
@@ -34,8 +39,8 @@ CFG = RootFinderConfig()
 def _count_horner(monkeypatch) -> list[int]:
     """Count Horner evaluations in either arithmetic; the count is the list's one entry.
 
-    Double precision and the residuals evaluate with rootfind._horner, the
-    fixed-point iteration with rootfind._fixed_horner.
+    Double precision evaluates with rootfind._horner, the fixed-point
+    iteration with rootfind._fixed_horner.
     """
     calls = [0]
 
@@ -48,6 +53,30 @@ def _count_horner(monkeypatch) -> list[int]:
     for name in ("_horner", "_fixed_horner"):
         monkeypatch.setattr(rootfind, name, counting(getattr(rootfind, name)))
     return calls
+
+
+def _residual(p, z: complex) -> float:
+    """|p(z)| / (sum |a_k| * max(1, |z|)**deg), with p(z) computed exactly at z."""
+    coeffs = rootfind._coefficients(p)
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    vr = vi = Fraction(0)
+    for c in reversed(coeffs):
+        vr, vi = vr * zr - vi * zi + Fraction(c), vr * zi + vi * zr
+    scale = sum(abs(float(c)) for c in coeffs) * max(1.0, abs(z)) ** (len(coeffs) - 1)
+    return math.hypot(float(vr), float(vi)) / scale
+
+
+def _root_set(p, roots, working=()) -> rootfind.ComplexRootSet:
+    return rootfind.ComplexRootSet(tuple(roots), True, rootfind._coefficients(p), tuple(working))
+
+
+def _polished(p, starts) -> tuple:
+    """:func:`refine_all`'s polish of ``starts`` as roots of p, NaN where it gave one up.
+
+    The starts ride in ``working``, from which refine_all starts, and NaN in
+    ``roots``, the value refine_all keeps for a root it cannot polish.
+    """
+    return refine_all(_root_set(p, [complex(math.nan, math.nan)] * len(starts), starts)).roots
 
 
 class TestConfig:
@@ -102,7 +131,7 @@ class TestAberth:
                          RingDigraph.from_mask_string(9, "110101011")))):
             rs = aberth_roots(poly, CFG)
             assert rs.converged
-            assert max(rs.residuals) <= 1e-9
+            assert max(_residual(poly, z) for z in rs.roots) <= 1e-9
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(7)
@@ -199,7 +228,7 @@ class TestAberth:
         assert calls[0] <= 30
         assert rs.converged
         match_multisets(closed_form_spectrum(g), rs.roots, 1e-12)
-        assert max(rs.residuals) <= 1e-15
+        assert max(_residual(p, z) for z in rs.roots) <= 1e-15
         assert all(isinstance(z, rootfind._FixedComplex) for z in rs.working)
         assert rs.roots == tuple(complex(z) for z in rs.working)
 
@@ -208,7 +237,7 @@ class TestAberth:
         mp = aberth_roots(p, RootFinderConfig(working_dps=30))
         assert "working" not in repr(mp)
         assert aberth_roots(p, CFG).working == ()
-        assert mp == rootfind.ComplexRootSet(mp.roots, mp.residuals, mp.converged, mp.source)
+        assert mp == rootfind.ComplexRootSet(mp.roots, mp.converged, mp.source)
 
     def test_coefficients_beyond_double_range_do_not_converge(self):
         # the companion matrix holds -1e300 / 1e-10, which overflows
@@ -378,16 +407,14 @@ class TestFixedPoint:
 
 class TestRefinement:
     def test_sqrt_two(self):
-        rr = refine_root(IntPolynomial([-2, 0, 1]), 1.41421)
-        assert rr.converged
-        assert rr.value.real == pytest.approx(math.sqrt(2), abs=1e-14)
-        assert rr.value.imag == 0
+        (value,) = _polished(IntPolynomial([-2, 0, 1]), [1.41421])
+        assert value.real == pytest.approx(math.sqrt(2), abs=1e-14)
+        assert value.imag == 0
 
     def test_double_root_imaginary_part_collapses(self):
-        rr = refine_root(IntPolynomial([4, -4, 1]), 2 + 1e-7j)  # (x-2)^2
-        assert rr.converged
-        assert abs(rr.value.imag) < 1e-9
-        assert rr.value.real == pytest.approx(2.0, abs=1e-9)
+        (value,) = _polished(IntPolynomial([4, -4, 1]), [2 + 1e-7j])  # (x-2)^2
+        assert abs(value.imag) < 1e-9
+        assert value.real == pytest.approx(2.0, abs=1e-9)
 
     def test_refined_complex_pair_residual(self):
         # gaps (1,2,3) at n=6: the char poly has a conjugate pair
@@ -395,65 +422,77 @@ class TestRefinement:
             poly_mul(poly_mul(z_poly(1), z_poly(2)), z_poly(3)), -1)
         rs = aberth_roots(p, CFG)
         z = max(rs.roots, key=lambda v: abs(v.imag))
-        rr = refine_root(p, z)
-        assert rr.converged
+        (value,) = _polished(p, [z])
         with mpmath.workdps(60):
             val = mpmath.polyval([mpmath.mpf(c) for c in p.coefficients[::-1]],
-                                 mpmath.mpc(rr.value))
+                                 mpmath.mpc(value))
             scale = sum(abs(c) for c in p.coefficients)
             assert abs(val) / scale < 1e-12
 
-    def test_split_double_root_converges_in_few_steps(self):
+    def test_split_double_root_converges_in_few_steps(self, monkeypatch):
         # on (x-2)^2(x-3) itself Newton halves the error per step; on the
-        # square-free part it converges quadratically
+        # square-free part it converges quadratically, within ten steps
         p = poly_mul(poly_mul(IntPolynomial([-2, 1]), IntPolynomial([-2, 1])),
                      IntPolynomial([-3, 1]))
-        rr = refine_root(p, 2 + 1e-7j, max_steps=10)
-        assert rr.converged
-        assert abs(rr.value.imag) < 1e-40
-        assert rr.value.real == pytest.approx(2.0, abs=1e-15)
+        calls = _count_horner(monkeypatch)
+        (value,) = _polished(p, [2 + 1e-7j])
+        assert 0 < calls[0] <= 10
+        assert abs(value.imag) < 1e-40
+        assert value.real == pytest.approx(2.0, abs=1e-15)
 
     def test_path_forty_roots_refine_in_few_evaluations(self, monkeypatch):
         # at 60 digits the degree-40 evaluation noise keeps Newton's steps
-        # above the 1e-50 step rule; the noise-floor stop ends each root
+        # above the 1e-50 step rule; the noise-floor stop ends each root,
+        # started from its double value
         poly, closed = path_matrix_spectrum(40)
         rs = aberth_roots(poly, RootFinderConfig(working_dps=70))
-        q = square_free_part(poly)
         calls = _count_horner(monkeypatch)
-        refined = [refine_root(q, z, square_free=True) for z in rs.roots]
-        assert all(rr.converged for rr in refined)
+        refined = _polished(poly, rs.roots)
+        assert all(map(cmath.isfinite, refined))
         assert 0 < calls[0] <= 10 * len(refined)
-        match_multisets(closed, [rr.value for rr in refined], 1e-9)
+        match_multisets(closed, refined, 1e-9)
 
     def test_refine_all_starts_from_the_working_roots(self, monkeypatch):
         # the mpmath route's roots keep their digits, so Newton needs about
-        # one step per root; each root also gets one residual evaluation
+        # one step per root
         poly, closed = path_matrix_spectrum(40)
         rs = aberth_roots(poly, RootFinderConfig(working_dps=70))
         calls = _count_horner(monkeypatch)
         refined = refine_all(rs)
-        assert calls[0] <= 3 * len(rs.roots)
+        assert calls[0] <= 2 * len(rs.roots)
         match_multisets(closed, refined.roots, 1e-12)
         assert refined.converged and refined.source == rs.source
 
     def test_zero_derivative_without_a_root_stays_unconverged(self):
         # x^2 + 1 at 0: Newton has no step and 0 is not a root
-        rr = refine_root(IntPolynomial([1, 0, 1]), 0j)
-        assert rr == (0j, False)
+        assert refine_all(_root_set(IntPolynomial([1, 0, 1]), [0j])).roots == (0j,)
 
     def test_non_finite_start_stays_unconverged(self):
         # a root set that did not converge can carry NaN roots into refine_all
-        for z in (complex(math.nan, 0), complex(math.inf, 0)):
-            rr = refine_root(IntPolynomial([1, 0, 1]), z)
-            assert not rr.converged and (rr.value == z or cmath.isnan(rr.value.real))
+        p = IntPolynomial([1, 0, 1])
+        assert refine_all(_root_set(p, [complex(math.inf, 0)])).roots == (complex(math.inf, 0),)
+        (value,) = refine_all(_root_set(p, [complex(math.nan, 0)])).roots
+        assert cmath.isnan(value)
         rs = aberth_roots([0.0, 0.0, -6e-300, 1.0], CFG)
         assert refine_all(rs).roots[1:] == (0j, 0j)
 
+    def test_nan_roots_survive_an_underflow_errno(self):
+        # an underflowing math.ldexp leaves errno at ERANGE, and CPython's abs()
+        # of a NaN complex can then raise OverflowError; nothing takes abs() of
+        # these roots, so they come back as NaN and unconverged
+        math.ldexp(1.0, -1100)
+        rs = aberth_roots([1e300, 0.0, 1e-10], CFG)
+        assert rs.converged is False
+        assert len(rs.roots) == 2 and all(map(cmath.isnan, rs.roots))
+        math.ldexp(1.0, -1100)
+        refined = refine_all(rs)
+        assert len(refined.roots) == 2 and all(map(cmath.isnan, refined.roots))
+
     def test_stuck_start_gives_up_after_one_repeated_sweep(self, monkeypatch):
         # a lone start with p' = 0 never moves, so a second sweep that moves
-        # nothing ends the iteration instead of spending all max_steps
+        # nothing ends the iteration instead of spending all its steps
         calls = _count_horner(monkeypatch)
-        assert refine_root(IntPolynomial([1, 0, 1]), 0j) == (0j, False)
+        assert refine_all(_root_set(IntPolynomial([1, 0, 1]), [0j])).roots == (0j,)
         assert 0 < calls[0] <= 2
 
     def test_refine_all_restores_split_doubles(self):
@@ -688,9 +727,25 @@ class TestSpectralVerdict:
         doubles = [x for x, y in zip(reals, reals[1:]) if abs(x - y) < 1e-9]
         split = (0j,) + tuple(complex(x, s * 1e-6) for x in doubles for s in (1, -1))
         match_multisets(closed_form_spectrum(g), split, 1e-6)
-        rs = rootfind.ComplexRootSet(split, rootfind._residuals(p, split), True, p)
+        rs = rootfind.ComplexRootSet(split, True, p)
         assert rs.max_abs_imag() > 1e-9  # genuinely split before refinement
         assert spectral_verdict(rs, CFG) is False
+
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_one_grid_per_verdict(self, monkeypatch, n):
+        # classify n 01...1 --numeric: the verdict polishes every root in the
+        # suspicious band on one 60-digit grid of the square-free part
+        rs = spectrum_numeric(RingDigraph.from_mask_string(n, "0" + "1" * (n - 1)), CFG)
+        calls = []
+        fixed_point = rootfind._fixed_point
+
+        def counting(*args):
+            calls.append(args)
+            return fixed_point(*args)
+
+        monkeypatch.setattr(rootfind, "_fixed_point", counting)
+        spectral_verdict(rs, CFG)
+        assert len(calls) == 1
 
     def test_ambiguous_band_raises(self):
         # a true conjugate pair with |Im| = 1e-8 sits inside the band
