@@ -17,7 +17,6 @@ from .polycore import (
     cheb_u,
     classify_product_real,
     eval_exact,
-    eval_real,
     landmark_roots,
     poly_mul,
     poly_product,
@@ -59,7 +58,6 @@ __all__ = [
     "cheb_u",
     "classify_product_real",
     "eval_exact",
-    "eval_real",
     "landmark_roots",
     "poly_mul",
     "poly_product",

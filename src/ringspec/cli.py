@@ -72,10 +72,11 @@ def _cmd_spectrum(args) -> int:
         spec = closed_form_spectrum(g)
         out["closed_form"] = None if spec is None else [[z.real, z.imag] for z in spec]
     if args.method in ("numeric", "both"):
-        rs = spectrum_numeric(g, RootFinderConfig())
+        poly = char_poly(g)
+        rs = aberth_roots(poly, RootFinderConfig())
         out["numeric"] = rs.to_json()
         out["numeric_converged"] = rs.converged
-        out["char_poly"] = char_poly(g).to_json()
+        out["char_poly"] = poly.to_json()
     _emit(out, args.json)
     return EXIT_OK
 

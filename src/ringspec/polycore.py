@@ -1,19 +1,26 @@
 """Exact integer polynomials and the Chebyshev-type families used everywhere else.
 
-Three related families are the workhorses of this package:
+Three related families are the workhorses of this package.  Each is defined
+by a three-term recurrence and computed from the binomial form of its
+coefficients (Mason and Handscomb, *Chebyshev Polynomials*, 2003, ch. 2),
+memoized per degree:
 
 * ``cheb_u(n)`` -- the degree-n Chebyshev polynomial of the second kind scaled
   to the interval (-2, 2): ``P_0 = 1``, ``P_1 = x``, ``P_n = x*P_{n-1} - P_{n-2}``.
+  The coefficient of x**(n-2i) is ``(-1)**i * C(n-i, i)``.
   Its roots are ``2*cos(pi*k/(n+1))``, k = 1..n.
 * ``z_poly(n)`` -- the characteristic polynomial of the n-by-n tridiagonal
   matrix with diagonal (2, ..., 2, 1) and -1 on the off-diagonals:
   ``Z_0 = 1``, ``Z_1 = x - 1``, ``Z_n = (x-2)*Z_{n-1} - Z_{n-2}``.
-  Substituting x**2 into Z_n yields cheb_u(2n), so its roots are
+  Substituting x**2 into Z_n yields cheb_u(2n), so the coefficient of x**k
+  is ``(-1)**(n-k) * C(n+k, 2k)`` and its roots are
   ``4*cos(pi*k/(2n+1))**2``, all inside [0, 4).
 * ``w_poly(n)`` -- the Chebyshev polynomial of the first kind, doubled and
   shifted: ``W_0 = 2``, ``W_1 = x - 2``, ``W_n = (x-2)*W_{n-1} - W_{n-2}``,
-  so ``W_n(x) = 2*T_n((x-2)/2)``.  ``W_n - 2*(-1)**n`` is the characteristic
-  polynomial of the symmetric ring's Laplacian.
+  so ``W_n(x) = 2*T_n((x-2)/2)``.  For n >= 1 the coefficient of x**k is
+  ``(-1)**(n+k) * 2n * C(n+k, 2k) / (n+k)``, an exact division.
+  ``W_n - 2*(-1)**n`` is the characteristic polynomial of the symmetric
+  ring's Laplacian.
 
 All coefficients are arbitrary-precision Python integers; binomial-sized
 coefficients overflow 64-bit words near degree 35, and exactness is the whole
@@ -22,8 +29,8 @@ point of this module.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -147,51 +154,33 @@ class RealRootVerdict:
     roots: tuple[float, ...] | None = None
 
 
-_CHEB_CACHE: list[IntPolynomial] = [IntPolynomial([1]), IntPolynomial([0, 1])]
-_Z_CACHE: list[IntPolynomial] = [IntPolynomial([1]), IntPolynomial([-1, 1])]
-_W_CACHE: list[IntPolynomial] = [IntPolynomial([2]), IntPolynomial([-2, 1])]
-# guards cache growth; lock-free reads are fine since the lists only grow
-_CACHE_LOCK = threading.Lock()
-
-
-def _next_term(p1: IntPolynomial, p0: IntPolynomial, a: int) -> IntPolynomial:
-    """(x - a) * p1 - p0, the step of all three recurrences, on plain lists."""
-    out = [0, *p1.coefficients]
-    for k, c in enumerate(p1.coefficients):
-        out[k] -= a * c
-    for k, c in enumerate(p0.coefficients):
-        out[k] -= c
-    return IntPolynomial(out)
-
-
-def _cached_term(cache: list[IntPolynomial], n: int, a: int) -> IntPolynomial:
-    """Term n of the recurrence p_k = (x - a) * p_{k-1} - p_{k-2} held in ``cache``.
-
-    The cache grows under :data:`_CACHE_LOCK` up to n as needed.
-    """
+def _check_degree(n: int) -> None:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n >= len(cache):
-        with _CACHE_LOCK:
-            while len(cache) <= n:
-                cache.append(_next_term(cache[-1], cache[-2], a))
-    return cache[n]
 
 
+@functools.cache
 def cheb_u(n: int) -> IntPolynomial:
     """Chebyshev polynomial of the second kind scaled to (-2, 2), degree n."""
-    return _cached_term(_CHEB_CACHE, n, 0)
+    _check_degree(n)
+    coeffs = [0] * (n + 1)
+    for i in range(n // 2 + 1):
+        coeffs[n - 2 * i] = (-1) ** i * math.comb(n - i, i)
+    return IntPolynomial(coeffs)
 
 
+@functools.cache
 def z_poly(n: int) -> IntPolynomial:
     """Characteristic polynomial of the tridiagonal matrix with diagonal (2,..,2,1).
 
     Satisfies z_poly(n).substitute_square() == cheb_u(2n); the constant term
     is (-1)**n.
     """
-    return _cached_term(_Z_CACHE, n, 2)
+    _check_degree(n)
+    return IntPolynomial([(-1) ** (n - k) * math.comb(n + k, 2 * k) for k in range(n + 1)])
 
 
+@functools.cache
 def w_poly(n: int) -> IntPolynomial:
     """Doubled, shifted Chebyshev polynomial of the first kind, degree n.
 
@@ -201,7 +190,11 @@ def w_poly(n: int) -> IntPolynomial:
     2 - 2*cos(2*pi*k/n) = 4*sin(pi*k/n)**2), equivalently
     (-1)**n * (2*T_n((2-x)/2) - 2).
     """
-    return _cached_term(_W_CACHE, n, 2)
+    _check_degree(n)
+    if n == 0:
+        return IntPolynomial([2])
+    return IntPolynomial([(-1) ** (n + k) * (2 * n * math.comb(n + k, 2 * k) // (n + k))
+                          for k in range(n + 1)])
 
 
 def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -294,28 +287,19 @@ def poly_shift_const(p: IntPolynomial, c: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def eval_real(p: IntPolynomial, x: float) -> float:
-    """Horner evaluation in floating point.
-
-    Fine for moderate degrees; the monomial basis is ill-conditioned near the
-    ends of the root interval once degrees pass ~25, so the high-degree test
-    sweeps use :func:`eval_exact` at ``Fraction(x)`` instead.
-    """
-    return eval_exact(p, float(x))
-
-
 def eval_exact(p: IntPolynomial, x: int | Fraction | float) -> int | Fraction | float:
     """Horner evaluation, exact at an integer or rational point.
 
     ``Fraction(float_value)`` converts a float argument losslessly, so this
     doubles as an arbitrarily-accurate evaluator at floating-point points.
-    At a float point the same loop runs in floating point (:func:`eval_real`).
+    At a float point the same loop runs in floating point; the monomial basis
+    is ill-conditioned near the ends of the root interval once degrees pass
+    ~25, so high-degree sweeps evaluate at ``Fraction(x)`` instead.
     """
     acc: int | Fraction = 0
     for c in reversed(p.coefficients):
         acc = acc * x + c
     return acc
-
 
 
 def cheb_u_value(n: int, x):

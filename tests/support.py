@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from ringspec.polycore import IntPolynomial
@@ -40,22 +39,6 @@ def has_repeats(values, gap: float = 1e-7) -> bool:
 def spectrum_tol(expected) -> float:
     """1e-6 for spectra with repeated values, 1e-9 otherwise."""
     return 1e-6 if has_repeats(expected) else 1e-9
-
-
-def cheb_u_explicit(n: int) -> IntPolynomial:
-    """Independent binomial form: sum_i (-1)^i C(n-i, i) x^(n-2i)."""
-    coeffs = [0] * (n + 1)
-    for i in range(n // 2 + 1):
-        coeffs[n - 2 * i] = (-1) ** i * math.comb(n - i, i)
-    return IntPolynomial(coeffs)
-
-
-def z_explicit(n: int) -> IntPolynomial:
-    """Independent binomial form: sum_i (-1)^i C(2n-i, i) x^(n-i)."""
-    coeffs = [0] * (n + 1)
-    for i in range(n + 1):
-        coeffs[n - i] = (-1) ** i * math.comb(2 * n - i, i)
-    return IntPolynomial(coeffs)
 
 
 def exact_abs_at(p: IntPolynomial, x: float) -> float:

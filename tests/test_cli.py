@@ -156,6 +156,21 @@ class TestSpectrum:
         g = RingDigraph.from_mask_string(len(mask), mask)
         match_multisets(closed_form_spectrum(g), [complex(*z) for z in rec["numeric"]], 1e-9)
 
+    def test_both_methods_build_the_gap_product_once(self, capsys, monkeypatch):
+        calls = []
+        char_poly = ringgraph.char_poly
+
+        def counting(g):
+            calls.append(g)
+            return char_poly(g)
+
+        monkeypatch.setattr(ringgraph, "char_poly", counting)
+        monkeypatch.setattr(cli, "char_poly", counting)
+        code, out, _ = run(capsys, "spectrum", "12", "011011011011", "--method", "both")
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["char_poly"] == char_poly(calls[0]).to_json()
+
     def test_exact_only_absent_for_split_gaps(self, capsys):
         code, out, _ = run(capsys, "spectrum", "4", "0110", "--method", "exact")
         rec = json.loads(out)

@@ -16,7 +16,6 @@ from ringspec.polycore import (
     cheb_u_value,
     classify_product_real,
     eval_exact,
-    eval_real,
     landmark_roots,
     poly_mul,
     poly_product,
@@ -29,7 +28,7 @@ from ringspec.polycore import (
     z_shifted_roots,
     z_value,
 )
-from support import cheb_u_explicit, exact_abs_at, z_explicit
+from support import exact_abs_at
 
 
 class TestIntPolynomial:
@@ -162,6 +161,25 @@ class TestKroneckerProduct:
                 pc._unpack(value + (extra << (6 * len(coeffs))), 6, len(coeffs))
 
 
+def recurrence(a, p0, p1, count=201):
+    """Coefficient lists of P_0..P_{count-1}, P_n = (x - a)*P_{n-1} - P_{n-2}."""
+    out = [p0, p1]
+    while len(out) < count:
+        prev, cur = out[-2], out[-1]
+        nxt = [0, *cur]
+        for k, c in enumerate(cur):
+            nxt[k] -= a * c
+        for k, c in enumerate(prev):
+            nxt[k] -= c
+        out.append(nxt)
+    return out
+
+
+CHEB_U = recurrence(0, [1], [0, 1])
+Z = recurrence(2, [1], [-1, 1])
+W = recurrence(2, [2], [-2, 1])
+
+
 class TestFamilies:
     def test_cheb_u_base_cases(self):
         assert cheb_u(0).coefficients == (1,)
@@ -182,10 +200,16 @@ class TestFamilies:
         assert z_poly(3).coefficients == (-1, 6, -5, 1)
 
     def test_recurrence_matches_explicit_binomial_form(self):
-        for n in range(201):
-            assert z_poly(n) == z_explicit(n), n
-        for n in range(201):
-            assert cheb_u(n) == cheb_u_explicit(n), n
+        # the program computes each family from its binomial coefficients;
+        # the reference here is the defining recurrence
+        for family, reference in ((cheb_u, CHEB_U), (z_poly, Z), (w_poly, W)):
+            for n, coeffs in enumerate(reference):
+                assert family(n) == IntPolynomial(coeffs), (family.__name__, n)
+
+    def test_families_compute_only_the_degree_asked_for(self):
+        z_poly.cache_clear()
+        z_poly(600)
+        assert z_poly.cache_info().currsize == 1
 
     def test_constant_terms(self):
         for n in range(80):
@@ -218,16 +242,16 @@ class TestConcurrency:
     def test_parallel_cache_growth_stays_consistent(self):
         import concurrent.futures
 
-        import ringspec.polycore as pc
-
-        # force regrowth from a cold cache under contention
-        pc._CHEB_CACHE[:] = pc._CHEB_CACHE[:2]
-        pc._Z_CACHE[:] = pc._Z_CACHE[:2]
+        # fill the caches from cold under contention
+        for family in (cheb_u, z_poly, w_poly):
+            family.cache_clear()
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(lambda n: (cheb_u(n), z_poly(n)), [120] * 8 + list(range(119))))
+            list(pool.map(lambda n: (cheb_u(n), z_poly(n), w_poly(n)),
+                          [120] * 8 + list(range(119))))
         for n in (0, 1, 37, 88, 120):
-            assert z_poly(n) == z_explicit(n)
-            assert cheb_u(n) == cheb_u_explicit(n)
+            assert z_poly(n) == IntPolynomial(Z[n])
+            assert cheb_u(n) == IntPolynomial(CHEB_U[n])
+            assert w_poly(n) == IntPolynomial(W[n])
 
 
 class TestEvaluation:
@@ -235,7 +259,7 @@ class TestEvaluation:
         for n in range(50):
             assert eval_exact(z_poly(n), 0) == (-1) ** n
             assert eval_exact(cheb_u(n), 2) == n + 1
-        assert eval_real(cheb_u(3), 0.0) == 0.0
+        assert eval_exact(cheb_u(3), 0.0) == 0.0
 
     def test_horner_float_obeys_the_standard_error_model(self):
         # |float - exact| <= 4(2n+1) eps sum|a_i||x|^i; tight ranges degrade
@@ -248,7 +272,7 @@ class TestEvaluation:
                 exact = float(eval_exact(p, Fraction(x)))
                 mag = sum(abs(c) * x ** i for i, c in enumerate(p.coefficients))
                 bound = 4 * (2 * n + 1) * eps * mag
-                assert abs(eval_real(p, x) - exact) <= max(bound, 1e-13)
+                assert abs(eval_exact(p, float(x)) - exact) <= max(bound, 1e-13)
 
     def test_recurrence_evaluators_match_exact_values(self):
         # the recurrences are the numerically stable evaluators, accurate to
@@ -334,7 +358,7 @@ class TestLandmarks:
             lm = landmark_roots(m)
             assert 0 <= lm.x1 < lm.x2 < 4
             assert 0 <= lm.u1 < lm.u2 < 4
-            assert abs(eval_real(z_poly(m), lm.x1)) < 1e-12
+            assert abs(eval_exact(z_poly(m), float(lm.x1))) < 1e-12
             roots = z_roots(m)
             assert lm.x1 == pytest.approx(roots[0], abs=1e-12)
             assert lm.x2 == pytest.approx(roots[1], abs=1e-12)

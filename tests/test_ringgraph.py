@@ -245,6 +245,15 @@ class TestCharPoly:
             for g in graphs:
                 assert char_poly(g) == char_poly_exact(laplacian(g)), (n, g.mask_string())
 
+    def test_closed_form_families_match_the_matrix_at_three_hundred(self):
+        # symmetric ring, bare cycle, single gap, balanced and near-balanced pair
+        for n, parts in ((300, []), (300, [1] * 300), (300, [300]), (300, [150, 150]),
+                         (301, [150, 151])):
+            absent = set(itertools.accumulate(parts))
+            g = RingDigraph(n, [j not in absent for j in range(1, n + 1)])
+            assert sorted(decompose(g).gaps) == (parts if len(parts) < n else [])
+            assert char_poly(g) == char_poly_exact(laplacian(g)), (n, parts[:2])
+
     def test_single_and_double_gap_reduce_to_shifted_products(self):
         for n in range(3, 11):
             mask = [True] * n
