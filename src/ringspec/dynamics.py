@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ringgraph import RingDigraph, char_poly, classify_exact, laplacian
-from .rootfind import RootFinderConfig, aberth_roots
+from .rootfind import IMAG_THRESHOLD, aberth_roots
 
 #: step * (spectral-radius bound) must stay below this for the explicit scheme.
 STABILITY_MARGIN = 0.1
@@ -33,6 +33,8 @@ class SimConfig:
     def __post_init__(self):
         if not all(math.isfinite(v) and v > 0 for v in (self.step, self.horizon)):
             raise ValueError("step and horizon must be finite and positive")
+        if not math.isfinite(self.horizon / self.step):
+            raise ValueError("horizon / step must be finite")
 
 
 @dataclass(frozen=True)
@@ -128,13 +130,12 @@ def oscillation_report(g: RingDigraph, cfg: SimConfig = SimConfig()) -> dict:
 
     Bundles the exact cyclicity verdict, the slowest-decaying conjugate pair
     of the numeric spectrum (among the roots with imaginary part above the
-    root finder's ``imag_threshold``, the one with the smallest real part),
+    root finder's ``IMAG_THRESHOLD``, the one with the smallest real part),
     the measured dominant frequency of a simulation started at e_1, and
     their relative deviation.
     """
     cls = classify_exact(g)
-    threshold = RootFinderConfig().imag_threshold
-    pair = min((z for z in aberth_roots(char_poly(g)).roots if z.imag > threshold),
+    pair = min((z for z in aberth_roots(char_poly(g)).roots if z.imag > IMAG_THRESHOLD),
                key=lambda z: (z.real, -z.imag), default=None)
     sim_cfg = cfg
     if cfg.initial_state is None:

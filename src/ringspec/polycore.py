@@ -302,19 +302,6 @@ def eval_exact(p: IntPolynomial, x: int | Fraction | float) -> int | Fraction | 
     return acc
 
 
-def cheb_u_value(n: int, x):
-    """Evaluate cheb_u(n) at x by the three-term recurrence (numerically stable).
-
-    Accepts scalars or numpy arrays.
-    """
-    if n == 0:
-        return x * 0 + 1.0
-    prev, cur = x * 0 + 1.0, x * 1.0
-    for _ in range(n - 1):
-        prev, cur = cur, x * cur - prev
-    return cur
-
-
 def z_value(n: int, x):
     """Evaluate z_poly(n) at x by the recurrence (numerically stable).
 

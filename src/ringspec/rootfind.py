@@ -53,6 +53,15 @@ from .polycore import IntPolynomial
 #: |Im| >= 0.132.
 SUSPICIOUS_IMAG_BAND = 1e-2
 
+#: A root settles when its Aberth correction falls below this, relative to
+#: max(1, |z|); after polishing, |Im| at or below it counts as real.
+CONVERGENCE_TOL = 1e-13
+#: Sweeps :func:`aberth_roots` runs before it reports ``converged=False``.
+MAX_ITERATIONS = 500
+#: |Im| above this, after polishing, makes a root non-real; between
+#: ``CONVERGENCE_TOL`` and this the verdict is ambiguous.
+IMAG_THRESHOLD = 1e-6
+
 
 class AmbiguousSpectrumError(RuntimeError):
     """Raised when refinement cannot push a root clearly to either side."""
@@ -64,19 +73,8 @@ class NonConvergenceError(ValueError):
 
 @dataclass(frozen=True)
 class RootFinderConfig:
-    convergence_tol: float = 1e-13
-    max_iterations: int = 500
-    imag_threshold: float = 1e-6
     #: decimal digits for the iteration itself; None means double precision.
     working_dps: int | None = None
-
-    def __post_init__(self):
-        if self.convergence_tol <= 0 or self.imag_threshold <= 0:
-            raise ValueError("tolerances must be strictly positive")
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
-        if self.imag_threshold <= self.convergence_tol:
-            raise ValueError("imag_threshold must exceed convergence_tol")
 
 
 @dataclass(frozen=True)
@@ -160,11 +158,11 @@ def aberth_roots(p, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSe
     factor with ``cfg.working_dps`` significant digits on every nonzero root
     (:func:`_fixed_point`), which also keeps the roots at working precision
     in ``working``.  A root settles when its
-    correction falls below convergence_tol * max(1, |z|) or, once it has
-    taken a step, when |p(z)| reaches the evaluation-noise floor; hitting
-    max_iterations, a blow-up or a companion matrix that double precision
-    cannot hold reports ``converged=False`` rather than returning silent
-    garbage.
+    correction falls below ``CONVERGENCE_TOL`` * max(1, |z|) or, once it has
+    taken a step, when |p(z)| reaches the evaluation-noise floor; running
+    ``MAX_ITERATIONS`` sweeps, a blow-up or a companion matrix that double
+    precision cannot hold reports ``converged=False`` rather than returning
+    silent garbage.  ``cfg`` only chooses the arithmetic.
     """
     coeffs = _coefficients(p)
     factors = _square_free_factors(coeffs)
@@ -179,10 +177,10 @@ def aberth_roots(p, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSe
         else:
             if fixed:
                 terms, zs, bits = _fixed_point(factor, zs, cfg.working_dps)
-                zs, ok = _fixed_aberth(terms, zs, bits, cfg.convergence_tol, cfg.max_iterations)
+                zs, ok = _fixed_aberth(terms, zs, bits, CONVERGENCE_TOL, MAX_ITERATIONS)
             else:
-                zs, ok = _aberth([float(c) for c in factor], zs, cfg.convergence_tol,
-                                 cfg.max_iterations, sys.float_info.epsilon)
+                zs, ok = _aberth([float(c) for c in factor], zs, CONVERGENCE_TOL,
+                                 MAX_ITERATIONS, sys.float_info.epsilon)
         found += [z for z in zs for _ in range(multiplicity)]
         converged = converged and ok
     roots = tuple(complex(z) for z in found)
@@ -714,34 +712,35 @@ def char_poly_float(matrix) -> list[float]:
     return cs
 
 
-def spectral_verdict(rootset: ComplexRootSet, cfg: RootFinderConfig = RootFinderConfig()) -> bool:
+def spectral_verdict(rootset: ComplexRootSet) -> bool:
     """True when the spectrum genuinely contains a non-real eigenvalue.
 
-    Roots with |Im| in (convergence_tol, ``SUSPICIOUS_IMAG_BAND``] are first
-    polished by :func:`_polish` on the square-free part of the polynomial,
-    from their double values, with one grid for all of them; a real root
-    that came out slightly off the axis collapses back, a true conjugate
-    pair does not, and a root whose polish fails keeps its value.  If a root
-    is left strictly between the convergence tolerance and the imaginary
-    threshold the answer is undecidable and an
-    :class:`AmbiguousSpectrumError` is raised.
+    Roots with |Im| in (``CONVERGENCE_TOL``, ``SUSPICIOUS_IMAG_BAND``] are
+    first polished by :func:`_polish` on the square-free part of the
+    polynomial, from their double values, with one grid for all of them; a
+    real root that came out slightly off the axis collapses back, a true
+    conjugate pair does not, and a root whose polish fails keeps its value.
+    Any root left with |Im| > ``IMAG_THRESHOLD`` makes the answer True; if
+    the largest |Im| is left in (``CONVERGENCE_TOL``, ``IMAG_THRESHOLD``]
+    the answer is undecidable and an :class:`AmbiguousSpectrumError` is
+    raised.
     """
     if not rootset.converged:
         raise NonConvergenceError("root set did not converge; no verdict possible")
     imags = [abs(z.imag) for z in rootset.roots]
-    band = [i for i, ai in enumerate(imags) if cfg.convergence_tol < ai <= SUSPICIOUS_IMAG_BAND]
+    band = [i for i, ai in enumerate(imags) if CONVERGENCE_TOL < ai <= SUSPICIOUS_IMAG_BAND]
     if band:
         polished = _polish(square_free_part(rootset.source), [rootset.roots[i] for i in band])
         for i, z in zip(band, polished):
             if z is not None:
                 imags[i] = abs(z.imag)
     top = max(imags)
-    if top > cfg.imag_threshold:
+    if top > IMAG_THRESHOLD:
         return True
-    if top > cfg.convergence_tol:
+    if top > CONVERGENCE_TOL:
         raise AmbiguousSpectrumError(
             f"root with |Im| = {top:.3e} sits between the convergence tolerance "
-            f"({cfg.convergence_tol:.0e}) and the imaginary threshold "
-            f"({cfg.imag_threshold:.0e}) after refinement"
+            f"({CONVERGENCE_TOL:.0e}) and the imaginary threshold "
+            f"({IMAG_THRESHOLD:.0e}) after refinement"
         )
     return False

@@ -265,7 +265,7 @@ def test_criterion_07_weighted_k3_three_way_agreement():
             continue
         triangle = k3_classify(wm)
         numeric = spectral_verdict(
-            aberth_roots(char_poly_float(weighted_laplacian(wm)), CFG), CFG)
+            aberth_roots(char_poly_float(weighted_laplacian(wm)), CFG))
         assert triangle == (disc < 0) == numeric, (a, b, c, alpha, beta, gamma)
         tested += 1
     print(f"\nACCEPTANCE 7: PASS — 10000 instances, 0 disagreements "

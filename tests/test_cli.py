@@ -12,10 +12,10 @@ import sys
 import pytest
 
 import ringspec
-from ringspec import cli, ringgraph
+from ringspec import cli, ringgraph, rootfind
 from ringspec.cli import main
+from ringspec.polycore import IntPolynomial
 from ringspec.ringgraph import RingDigraph, closed_form_spectrum
-from ringspec.rootfind import RootFinderConfig
 from support import match_multisets
 
 
@@ -23,6 +23,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_char_poly(monkeypatch) -> list:
+    """Record every graph the CLI builds a gap product for."""
+    calls = []
+    char_poly = ringgraph.char_poly
+
+    def counting(g):
+        calls.append(g)
+        return char_poly(g)
+
+    monkeypatch.setattr(ringgraph, "char_poly", counting)
+    monkeypatch.setattr(cli, "char_poly", counting)
+    return calls
+
+
+def subprocess_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(ringspec.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 class TestClassify:
@@ -72,7 +94,7 @@ class TestClassify:
         assert rec["numeric_agrees"] is True
 
     def test_numeric_disagreement_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "spectral_verdict", lambda rs, cfg: True)
+        monkeypatch.setattr(cli, "spectral_verdict", lambda rs: True)
         code, out, err = run(capsys, "classify", "8", "11111111", "--numeric")
         rec = json.loads(out)
         assert code == 1
@@ -115,8 +137,7 @@ class TestClassify:
         assert rec["numeric_agrees"] is True
 
     def test_numeric_non_convergence_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "RootFinderConfig",
-                            lambda: RootFinderConfig(max_iterations=1))
+        monkeypatch.setattr(rootfind, "MAX_ITERATIONS", 1)
         code, _, err = run(capsys, "classify", "9", "110101011", "--numeric")
         assert code == 1
         assert err.startswith("numeric failure:")
@@ -134,6 +155,27 @@ class TestClassify:
         _, out1, _ = run(capsys, "classify", "9", "110101011", "--numeric")
         _, out2, _ = run(capsys, "classify", "9", "110101011", "--numeric")
         assert out1 == out2
+
+    def test_numeric_builds_the_gap_product_once(self, capsys, monkeypatch):
+        # the oracle solves the record's own char_poly
+        calls = count_char_poly(monkeypatch)
+        code, out, _ = run(capsys, "classify", "12", "011011011011", "--numeric")
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["char_poly"] == ringgraph.char_poly(calls[0]).to_json()
+
+    def test_coefficients_past_the_int_str_digit_limit(self):
+        # CPython refuses to print ints longer than PYTHONINTMAXSTRDIGITS
+        # digits (4300 by default, 640 at least); n = 1600 has longer ones
+        env = subprocess_env()
+        env["PYTHONINTMAXSTRDIGITS"] = "640"
+        proc = subprocess.run([sys.executable, "-m", "ringspec", "classify", "1600", "1" * 1600],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        coeffs = json.loads(proc.stdout)["char_poly"]
+        assert max(map(len, coeffs)) > 640
+        g = RingDigraph.from_mask_string(1600, "1" * 1600)
+        assert IntPolynomial.from_json(coeffs) == ringgraph.char_poly(g)
 
 
 class TestSpectrum:
@@ -157,19 +199,11 @@ class TestSpectrum:
         match_multisets(closed_form_spectrum(g), [complex(*z) for z in rec["numeric"]], 1e-9)
 
     def test_both_methods_build_the_gap_product_once(self, capsys, monkeypatch):
-        calls = []
-        char_poly = ringgraph.char_poly
-
-        def counting(g):
-            calls.append(g)
-            return char_poly(g)
-
-        monkeypatch.setattr(ringgraph, "char_poly", counting)
-        monkeypatch.setattr(cli, "char_poly", counting)
+        calls = count_char_poly(monkeypatch)
         code, out, _ = run(capsys, "spectrum", "12", "011011011011", "--method", "both")
         assert code == 0
         assert len(calls) == 1
-        assert json.loads(out)["char_poly"] == char_poly(calls[0]).to_json()
+        assert json.loads(out)["char_poly"] == ringgraph.char_poly(calls[0]).to_json()
 
     def test_exact_only_absent_for_split_gaps(self, capsys):
         code, out, _ = run(capsys, "spectrum", "4", "0110", "--method", "exact")
@@ -348,6 +382,9 @@ class TestSimulate:
     # a finite JSON integer beyond double range, in either form
     ("weighted", "k3", "--weights", "[" + "1" + "0" * 400 + ",2,3,0,0,0]"),
     ("weighted", "k3", "--weights", "[[0," + "1" + "0" * 400 + ",2],[1,0,1],[1,1,0]]"),
+    # finite step and horizon whose step count is not
+    ("simulate", "3", "000", "--horizon", "1e308"),
+    ("simulate", "3", "000", "--step", "1e-320"),
 ])
 def test_malformed_or_non_finite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -357,23 +394,17 @@ def test_malformed_or_non_finite_input_exits_2(capsys, argv):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = os.path.dirname(os.path.dirname(ringspec.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "ringspec", "trees", "4", "1010"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["per_root"] == [1, 2, 1, 2]
 
 
 def test_importing_the_cli_leaves_mpmath_out():
     # mpmath is a test dependency only: the oracle computes in fixed point
-    src = os.path.dirname(os.path.dirname(ringspec.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import sys, ringspec.cli; print('mpmath' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

@@ -524,7 +524,7 @@ class TestScan:
         # the patched name is the verdict's polish: classify 20 01...1
         # --numeric has roots in the suspicious band
         g = RingDigraph.from_mask_string(20, "0" + "1" * 19)
-        assert spectral_verdict(spectrum_numeric(g, CFG), CFG) is False
+        assert spectral_verdict(spectrum_numeric(g, CFG)) is False
         assert len(calls) == 1
 
     @pytest.mark.parametrize("n", [15, 16])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -81,17 +82,12 @@ def _polished(p, starts) -> tuple:
 
 class TestConfig:
     def test_defaults(self):
-        assert CFG.convergence_tol == 1e-13
-        assert CFG.max_iterations == 500
-        assert CFG.imag_threshold == 1e-6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RootFinderConfig(convergence_tol=0)
-        with pytest.raises(ValueError):
-            RootFinderConfig(imag_threshold=1e-14)  # below convergence_tol
-        with pytest.raises(ValueError):
-            RootFinderConfig(max_iterations=0)
+        assert rootfind.CONVERGENCE_TOL == 1e-13
+        assert rootfind.MAX_ITERATIONS == 500
+        assert rootfind.IMAG_THRESHOLD == 1e-6
+        # the working precision is the one setting a caller chooses
+        assert [f.name for f in dataclasses.fields(RootFinderConfig)] == ["working_dps"]
+        assert CFG.working_dps is None
 
 
 class TestAberth:
@@ -117,12 +113,12 @@ class TestAberth:
         with pytest.raises(ValueError):
             aberth_roots([1.0, 0.0], CFG)
 
-    def test_non_convergence_is_flagged(self):
-        cfg = RootFinderConfig(max_iterations=1)
-        rs = aberth_roots(z_poly(9), cfg)
+    def test_non_convergence_is_flagged(self, monkeypatch):
+        monkeypatch.setattr(rootfind, "MAX_ITERATIONS", 1)
+        rs = aberth_roots(z_poly(9), CFG)
         assert rs.converged is False
         with pytest.raises(ValueError):
-            spectral_verdict(rs, cfg)
+            spectral_verdict(rs)
 
     def test_residual_bound(self):
         # every converged root satisfies |p(z)| <= 1e-9 sum|a| max(1,|z|)^deg
@@ -296,7 +292,7 @@ def _mpmath_route(p, dps: int) -> list[complex]:
         for factor, k in factors:
             zs, ok = rootfind._aberth([mpmath.mpf(c) for c in factor],
                                       [mpmath.mpc(z) for z in rootfind._companion_starts(factor)],
-                                      mpmath.mpf(CFG.convergence_tol), CFG.max_iterations,
+                                      mpmath.mpf(rootfind.CONVERGENCE_TOL), rootfind.MAX_ITERATIONS,
                                       mpmath.mp.eps)
             assert ok
             found += [z for z in zs for _ in range(k)]
@@ -710,12 +706,12 @@ class TestSpectralVerdict:
     def test_bare_cycle_is_cyclic(self):
         g = RingDigraph.from_mask_string(4, "0000")
         rs = aberth_roots(char_poly_exact(laplacian(g)), CFG)
-        assert spectral_verdict(rs, CFG) is True
+        assert spectral_verdict(rs) is True
 
     def test_real_spectrum(self):
         # (x)(x-2)^2(x-4): all real with a double root
         p = IntPolynomial([0, 16, -20, 8, -1])
-        assert spectral_verdict(aberth_roots(p, CFG), CFG) is False
+        assert spectral_verdict(aberth_roots(p, CFG)) is False
 
     def test_split_double_root_classified_real(self):
         g = RingDigraph.from_mask_string(7, "1101110")  # near-balanced, doubles
@@ -729,7 +725,7 @@ class TestSpectralVerdict:
         match_multisets(closed_form_spectrum(g), split, 1e-6)
         rs = rootfind.ComplexRootSet(split, True, p)
         assert rs.max_abs_imag() > 1e-9  # genuinely split before refinement
-        assert spectral_verdict(rs, CFG) is False
+        assert spectral_verdict(rs) is False
 
     @pytest.mark.parametrize("n", [20, 30])
     def test_one_grid_per_verdict(self, monkeypatch, n):
@@ -744,7 +740,7 @@ class TestSpectralVerdict:
             return fixed_point(*args)
 
         monkeypatch.setattr(rootfind, "_fixed_point", counting)
-        spectral_verdict(rs, CFG)
+        spectral_verdict(rs)
         assert len(calls) == 1
 
     def test_ambiguous_band_raises(self):
@@ -752,7 +748,7 @@ class TestSpectralVerdict:
         p = IntPolynomial([int(1e16 * 1e-16 + 1), 0, 10 ** 16])  # 1 + 1e16 x^2
         rs = aberth_roots(p, CFG)
         with pytest.raises(AmbiguousSpectrumError):
-            spectral_verdict(rs, CFG)
+            spectral_verdict(rs)
 
 
 class TestSerialization:

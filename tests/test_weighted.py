@@ -140,7 +140,7 @@ class TestK3:
                 continue
             triangle = k3_classify(wm)
             numeric = spectral_verdict(
-                aberth_roots(char_poly_float(weighted_laplacian(wm)), CFG), CFG)
+                aberth_roots(char_poly_float(weighted_laplacian(wm)), CFG))
             assert triangle == (d < 0) == numeric, (a, b, c, alpha, beta, gamma)
             checked += 1
 
@@ -256,7 +256,7 @@ class TestChordedC4:
                 if abs(d) < 1e-3:
                     continue
                 verdict = spectral_verdict(aberth_roots(
-                    char_poly_float(chorded_c4_laplacian(p, float(y))), CFG), CFG)
+                    char_poly_float(chorded_c4_laplacian(p, float(y))), CFG))
                 assert verdict == (d < 0), (p, y, d)
 
 
