@@ -31,7 +31,6 @@ from .ringgraph import (
     Classification,
     GapDecomposition,
     RingDigraph,
-    canonical_form,
     char_poly,
     classify_exact,
     closed_form_spectrum,
@@ -40,9 +39,7 @@ from .ringgraph import (
     spectrum_numeric,
 )
 from .rootfind import (
-    AmbiguousSpectrumError,
     ComplexRootSet,
-    NonConvergenceError,
     RootFinderConfig,
     aberth_roots,
     char_poly_exact,
@@ -70,16 +67,13 @@ __all__ = [
     "Classification",
     "GapDecomposition",
     "RingDigraph",
-    "canonical_form",
     "char_poly",
     "classify_exact",
     "closed_form_spectrum",
     "decompose",
     "laplacian",
     "spectrum_numeric",
-    "AmbiguousSpectrumError",
     "ComplexRootSet",
-    "NonConvergenceError",
     "RootFinderConfig",
     "aberth_roots",
     "char_poly_exact",

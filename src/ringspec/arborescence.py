@@ -147,8 +147,8 @@ def tree_count_formula(n: int, i: int) -> int:
     Equals (i**2 + n + (n-i)**2) / 2; the numerator is even for every valid
     (n, i), which the test suite sweeps rather than assumes.
     """
-    if not 1 <= i < n:
-        raise ValueError(f"need 1 <= i < n, got i={i}, n={n}")
+    if n < 3 or not 1 <= i < n:
+        raise ValueError(f"need n >= 3 and 1 <= i < n, got i={i}, n={n}")
     num = i * i + n + (n - i) * (n - i)
     if num % 2 != 0:
         raise ArithmeticError(f"count formula not integral at n={n}, i={i}")

@@ -1,10 +1,9 @@
 """Command-line interface.
 
 Verdicts go to stdout as JSON, grids and trajectories as CSV with a declared
-header; diagnostics go to stderr.  Exit codes: 0 success, 1 the analysis was
-ambiguous, the numeric oracle did not converge, a boundary search found no
-sign change (``weighted chorded-c4``), or a disagreement was found (``scan``,
-``classify --numeric``), 2 invalid input.
+header; diagnostics go to stderr.  Exit codes: 0 success, 1 a boundary
+search found no sign change (``weighted chorded-c4``) or a disagreement was
+found (``scan``, ``classify --numeric``), 2 invalid input.
 """
 
 from __future__ import annotations
@@ -27,17 +26,10 @@ from .ringgraph import (
     exhaustive_scan,
     laplacian,
 )
-from .polycore import IntPolynomial
-from .rootfind import (
-    AmbiguousSpectrumError,
-    NonConvergenceError,
-    aberth_roots,
-    char_poly_float,
-    spectral_verdict,
-)
+from .rootfind import aberth_roots, char_poly_exact, char_poly_float, spectral_verdict
 
 EXIT_OK = 0
-EXIT_AMBIGUOUS = 1
+EXIT_FAILURE = 1
 EXIT_BAD_INPUT = 2
 
 
@@ -53,14 +45,14 @@ def _cmd_classify(args) -> int:
     g = _parse_graph(args)
     record = classification_record(g)
     if args.numeric:
-        # the record holds the gap product already; solve it rather than build it again
-        verdict = spectral_verdict(aberth_roots(IntPolynomial.from_json(record["char_poly"])))
+        # the matrix's own polynomial, not the record's gap product
+        verdict = spectral_verdict(char_poly_exact(laplacian(g)))
         record["numeric_essentially_cyclic"] = verdict
         record["numeric_agrees"] = verdict == record["essentially_cyclic"]
     _emit(record, args.json)
     if args.numeric and not record["numeric_agrees"]:
         print(f"disagreement at n={g.n} mask={g.mask_string()}", file=sys.stderr)
-        return EXIT_AMBIGUOUS
+        return EXIT_FAILURE
     return EXIT_OK
 
 
@@ -93,7 +85,6 @@ def _cmd_scan(args) -> int:
         results.append(r)
     instances = sum(r["instances"] for r in results)
     disagreements = sorted((r["n"], m) for r in results for m in r["disagreements"])
-    ambiguous = sorted((r["n"], m) for r in results for m in r["ambiguous"])
     payload = {
         "n_min": args.n_min,
         "n_max": args.n_max,
@@ -101,16 +92,15 @@ def _cmd_scan(args) -> int:
         "decompositions": sum(r["decompositions"] for r in results),
         "multisets": sum(r["multisets"] for r in results),
         "disagreements": [{"n": n, "mask": m} for n, m in disagreements],
-        "ambiguous": [{"n": n, "mask": m} for n, m in ambiguous],
+        # kept for the output's readers: the Sturm verdict is never ambiguous
+        "ambiguous": [],
         "message": f"{len(disagreements)} disagreements over {instances} instances",
     }
     _emit(payload, args.json)
-    if disagreements or ambiguous:
+    if disagreements:
         for n, m in disagreements:
             print(f"disagreement at n={n} mask={m}", file=sys.stderr)
-        for n, m in ambiguous:
-            print(f"ambiguous verdict at n={n} mask={m}", file=sys.stderr)
-        return EXIT_AMBIGUOUS
+        return EXIT_FAILURE
     return EXIT_OK
 
 
@@ -131,24 +121,23 @@ def _cmd_trees(args) -> int:
 
 def _parse_k3_weights(text: str) -> weighted.WeightMatrix:
     data = json.loads(text)
+    flat = isinstance(data, list) and len(data) == 6
+    square = isinstance(data, list) and len(data) == 3 and all(
+        isinstance(row, list) and len(row) == 3 for row in data)
+    if not (flat or square):
+        raise ValueError("k3 weights must be [a,b,c,alpha,beta,gamma] or a 3x3 matrix")
     # JSON numbers only: bool is an int subclass and float() reads strings
-    if isinstance(data, list) and len(data) == 6 and all(
-            type(v) in (int, float) for v in data):
-        return weighted.k3_matrix(*data)
-    if isinstance(data, list) and len(data) == 3:
-        if not all(isinstance(row, list) and all(type(v) in (int, float) for v in row)
-                   for row in data):
-            raise ValueError("k3 weights must be JSON numbers")
-        return weighted.WeightMatrix(data)
-    raise ValueError(
-        "k3 weights must be [a,b,c,alpha,beta,gamma] or a 3x3 matrix")
+    values = data if flat else [v for row in data for v in row]
+    if not all(type(v) in (int, float) for v in values):
+        raise ValueError("k3 weights must be JSON numbers")
+    return weighted.k3_matrix(*data) if flat else weighted.WeightMatrix(data)
 
 
 def _cmd_weighted_k3(args) -> int:
     wm = _parse_k3_weights(args.weights)
     unit, e = weighted.unit_scaled(wm)
     disc = weighted.k3_discriminant(unit)
-    verdict = spectral_verdict(aberth_roots(char_poly_float(weighted.weighted_laplacian(unit))))
+    verdict = spectral_verdict(char_poly_float(weighted.weighted_laplacian(unit)))
     payload = {
         "weights": [list(r) for r in wm.w],
         # a quadratic form in the weights, so it scales by 2**(2e)
@@ -272,12 +261,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except AmbiguousSpectrumError as exc:
-        print(f"ambiguous: {exc}", file=sys.stderr)
-        return EXIT_AMBIGUOUS
-    except (NonConvergenceError, weighted.BoundaryNotFoundError) as exc:
+    except weighted.BoundaryNotFoundError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_AMBIGUOUS
+        return EXIT_FAILURE
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

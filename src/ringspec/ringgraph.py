@@ -127,17 +127,6 @@ def decompose(g: RingDigraph) -> GapDecomposition:
     return GapDecomposition(k, tuple(gaps))
 
 
-def canonical_form(g: RingDigraph) -> RingDigraph:
-    """Lexicographically minimal rotation of the mask.
-
-    Two ring digraphs are isomorphic via a cyclic relabeling exactly when
-    their canonical forms coincide.
-    """
-    mask = g.mask_string()
-    best = min(mask[r:] + mask[:r] for r in range(g.n))
-    return RingDigraph.from_mask_string(g.n, best)
-
-
 def char_poly(g: RingDigraph) -> IntPolynomial:
     """Exact Laplacian characteristic polynomial from the gap decomposition.
 
@@ -228,22 +217,23 @@ def classification_record(g: RingDigraph) -> dict:
 
 
 def exhaustive_scan(n: int) -> dict:
-    """Compare the exact classifier with the numeric verdict over all 2**n masks.
+    """Compare the exact classifier with the Sturm verdict over all 2**n masks.
 
     Each mask is built, and so decomposed, once.  Both verdicts are memoized
     per gap decomposition: :func:`classify_exact` runs on one mask of every
     distinct gap decomposition, which is all it reads.  Masks with the same
     gap multiset share a characteristic polynomial (the product of Z factors
-    does not depend on gap order), so :func:`char_poly`, the root solve and
-    the numeric verdict run once per (K, sorted gaps).  Returns mask strings
-    of any disagreements and of masks where the numeric verdict was
-    ambiguous, both sorted, and how many decompositions were classified and
-    multisets solved.
+    does not depend on gap order), so the second verdict,
+    :func:`ringspec.rootfind.spectral_verdict` on the matrix's own polynomial
+    :func:`ringspec.rootfind.char_poly_exact` of :func:`laplacian`, runs once
+    per (K, sorted gaps); it shares no code with the exact classifier.
+    Returns the sorted mask strings of any disagreements and how many
+    decompositions were classified and multisets solved.  The ``ambiguous``
+    list is always empty: the Sturm count leaves no verdict open.
     """
-    verdicts: dict[GapDecomposition, tuple[bool, bool | None]] = {}
-    numeric: dict[tuple, bool | None] = {}
+    verdicts: dict[GapDecomposition, tuple[bool, bool]] = {}
+    numeric: dict[tuple, bool] = {}
     disagreements: list[str] = []
-    ambiguous: list[str] = []
     for mask in itertools.product((False, True), repeat=n):
         g = RingDigraph(n, mask)
         dec = g.decomposition
@@ -251,23 +241,16 @@ def exhaustive_scan(n: int) -> dict:
         if pair is None:
             key = (dec.K, tuple(sorted(dec.gaps)))
             if key not in numeric:
-                try:
-                    numeric[key] = rootfind.spectral_verdict(
-                        rootfind.aberth_roots(char_poly(g)))
-                except rootfind.AmbiguousSpectrumError:
-                    numeric[key] = None
+                numeric[key] = rootfind.spectral_verdict(rootfind.char_poly_exact(laplacian(g)))
             pair = verdicts[dec] = (classify_exact(g).essentially_cyclic, numeric[key])
         exact, verdict = pair
-        if verdict is None:
-            ambiguous.append(g.mask_string())
-        elif verdict != exact:
+        if verdict != exact:
             disagreements.append(g.mask_string())
     return {
         "n": n,
         "instances": 2 ** n,
         "disagreements": sorted(disagreements),
-        "ambiguous": sorted(ambiguous),
+        "ambiguous": [],
         "decompositions": len(verdicts),
         "multisets": len(numeric),
     }
-

@@ -28,8 +28,12 @@ fixed point at 60 digits on the square-free part p / gcd(p, p')
 (:func:`square_free_part`), computed exactly.  It has the same roots as p,
 all simple, so Newton converges quadratically even where p has a double or
 triple root.  :func:`refine_all` polishes a whole root set with it, starting
-from the roots found in fixed point with all their digits, and
-:func:`spectral_verdict` the few roots that land just off the real axis.
+from the roots found in fixed point with all their digits.
+
+Whether p has a non-real root at all is decided without any root:
+:func:`spectral_verdict` counts p's distinct real roots by Sturm's theorem,
+on the signed remainder sequence of p and p' over the integers, with the
+same pseudo-remainder that gives gcd(p, p') and Yun's factors.
 """
 
 from __future__ import annotations
@@ -46,29 +50,14 @@ import numpy as np
 
 from .polycore import IntPolynomial
 
-#: Roots whose imaginary part lands below this are treated as possibly real
-#: and get refined before any verdict.  Over every ring mask with n <= 16 the
-#: real spectra come out of :func:`aberth_roots` within 3.9e-17 of the real
-#: axis, while every essentially cyclic one has a conjugate pair with
-#: |Im| >= 0.132.
-SUSPICIOUS_IMAG_BAND = 1e-2
-
 #: A root settles when its Aberth correction falls below this, relative to
-#: max(1, |z|); after polishing, |Im| at or below it counts as real.
+#: max(1, |z|).
 CONVERGENCE_TOL = 1e-13
 #: Sweeps :func:`aberth_roots` runs before it reports ``converged=False``.
 MAX_ITERATIONS = 500
-#: |Im| above this, after polishing, makes a root non-real; between
-#: ``CONVERGENCE_TOL`` and this the verdict is ambiguous.
+#: |Im| above this makes a root of a :class:`ComplexRootSet` non-real where a
+#: caller picks roots from one (:func:`ringspec.dynamics.oscillation_report`).
 IMAG_THRESHOLD = 1e-6
-
-
-class AmbiguousSpectrumError(RuntimeError):
-    """Raised when refinement cannot push a root clearly to either side."""
-
-
-class NonConvergenceError(ValueError):
-    """Raised when a verdict is asked of a root set that did not converge."""
 
 
 @dataclass(frozen=True)
@@ -447,12 +436,18 @@ def _primitive(a: list[int]) -> list[int]:
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """A nonzero integer multiple of a mod b (ascending coefficients)."""
+    """A positive integer multiple of a mod b (ascending coefficients).
+
+    Each step scales the running remainder by a positive factor, so the
+    result keeps the sign of a mod b, as :func:`spectral_verdict` needs.
+    """
     r = list(a)
     db, lb = len(b) - 1, b[-1]
     while len(r) - 1 >= db:
         g = math.gcd(lb, r[-1])
         fb, fr = lb // g, r[-1] // g
+        if fb < 0:
+            fb, fr = -fb, -fr
         shift = len(r) - 1 - db
         r = [v * fb for v in r]
         for i, c in enumerate(b):
@@ -712,35 +707,32 @@ def char_poly_float(matrix) -> list[float]:
     return cs
 
 
-def spectral_verdict(rootset: ComplexRootSet) -> bool:
-    """True when the spectrum genuinely contains a non-real eigenvalue.
+def spectral_verdict(p) -> bool:
+    """True exactly when p has a non-real root; no root is computed.
 
-    Roots with |Im| in (``CONVERGENCE_TOL``, ``SUSPICIOUS_IMAG_BAND``] are
-    first polished by :func:`_polish` on the square-free part of the
-    polynomial, from their double values, with one grid for all of them; a
-    real root that came out slightly off the axis collapses back, a true
-    conjugate pair does not, and a root whose polish fails keeps its value.
-    Any root left with |Im| > ``IMAG_THRESHOLD`` makes the answer True; if
-    the largest |Im| is left in (``CONVERGENCE_TOL``, ``IMAG_THRESHOLD``]
-    the answer is undecidable and an :class:`AmbiguousSpectrumError` is
-    raised.
+    Sturm's theorem on p's primitive integer multiple a
+    (:func:`_integer_coefficients`): the signed remainder sequence a, a',
+    -rem(a, a'), ... is built with :func:`_pseudo_remainder`, each term
+    divided by the positive gcd of its coefficients, until a remainder
+    vanishes.  Its last term is gcd(a, a') up to a constant, so p has
+    deg p - deg gcd distinct roots, and V(-inf) - V(+inf) of them are real,
+    where V counts the sign changes of the terms' leading signs at that end.
+    A common factor of the terms changes neither count, so p need not be
+    square-free.
     """
-    if not rootset.converged:
-        raise NonConvergenceError("root set did not converge; no verdict possible")
-    imags = [abs(z.imag) for z in rootset.roots]
-    band = [i for i, ai in enumerate(imags) if CONVERGENCE_TOL < ai <= SUSPICIOUS_IMAG_BAND]
-    if band:
-        polished = _polish(square_free_part(rootset.source), [rootset.roots[i] for i in band])
-        for i, z in zip(band, polished):
-            if z is not None:
-                imags[i] = abs(z.imag)
-    top = max(imags)
-    if top > IMAG_THRESHOLD:
-        return True
-    if top > CONVERGENCE_TOL:
-        raise AmbiguousSpectrumError(
-            f"root with |Im| = {top:.3e} sits between the convergence tolerance "
-            f"({CONVERGENCE_TOL:.0e}) and the imaginary threshold "
-            f"({IMAG_THRESHOLD:.0e}) after refinement"
-        )
-    return False
+    _, a = _integer_coefficients(p)
+    degree, b = len(a) - 1, _derivative(a)
+    # (leading coefficient, degree) of each term; only the last two are kept whole
+    leads = [(a[-1], degree), (b[-1], degree - 1)]
+    while r := _pseudo_remainder(a, b):
+        g = math.gcd(*r)
+        a, b = b, [-v // g for v in r]
+        leads.append((b[-1], len(b) - 1))
+    at_plus = [c > 0 for c, _ in leads]
+    at_minus = [(c > 0) == (d % 2 == 0) for c, d in leads]
+    real = _sign_changes(at_minus) - _sign_changes(at_plus)
+    return real < degree - leads[-1][1]
+
+
+def _sign_changes(positive: list[bool]) -> int:
+    return sum(x != y for x, y in zip(positive, positive[1:]))

@@ -264,8 +264,7 @@ def test_criterion_07_weighted_k3_three_way_agreement():
             skipped += 1
             continue
         triangle = k3_classify(wm)
-        numeric = spectral_verdict(
-            aberth_roots(char_poly_float(weighted_laplacian(wm)), CFG))
+        numeric = spectral_verdict(char_poly_float(weighted_laplacian(wm)))
         assert triangle == (disc < 0) == numeric, (a, b, c, alpha, beta, gamma)
         tested += 1
     print(f"\nACCEPTANCE 7: PASS — 10000 instances, 0 disagreements "

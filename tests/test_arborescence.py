@@ -227,6 +227,8 @@ class TestClosedForm:
             tree_count_formula(5, 0)
         with pytest.raises(ValueError):
             tree_count_formula(5, 5)
+        with pytest.raises(ValueError):
+            tree_count_formula(2, 1)
 
 
 class TestBruteForce:

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import ringspec
-from ringspec import cli, ringgraph, rootfind
+from ringspec import cli, ringgraph
 from ringspec.cli import main
 from ringspec.polycore import IntPolynomial
 from ringspec.ringgraph import RingDigraph, closed_form_spectrum
@@ -94,7 +94,7 @@ class TestClassify:
         assert rec["numeric_agrees"] is True
 
     def test_numeric_disagreement_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "spectral_verdict", lambda rs: True)
+        monkeypatch.setattr(cli, "spectral_verdict", lambda p: True)
         code, out, err = run(capsys, "classify", "8", "11111111", "--numeric")
         rec = json.loads(out)
         assert code == 1
@@ -136,11 +136,15 @@ class TestClassify:
         assert rec["numeric_essentially_cyclic"] is False
         assert rec["numeric_agrees"] is True
 
-    def test_numeric_non_convergence_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(rootfind, "MAX_ITERATIONS", 1)
-        code, _, err = run(capsys, "classify", "9", "110101011", "--numeric")
-        assert code == 1
-        assert err.startswith("numeric failure:")
+    @pytest.mark.parametrize("n, mask", [(30, "0" + "1" * 29), (40, "0" + "1" * 39),
+                                         (80, "0" + "1" * 79), (60, "1" * 60), (80, "1" * 80)])
+    def test_numeric_verdict_agrees_beyond_double_precision(self, capsys, n, mask):
+        # real spectra whose double-precision roots come out off the real axis
+        code, out, err = run(capsys, "classify", str(n), mask, "--numeric")
+        assert code == 0, err
+        rec = json.loads(out)
+        assert rec["numeric_essentially_cyclic"] is False
+        assert rec["numeric_agrees"] is True
 
     def test_malformed_mask_exits_2(self, capsys):
         code, _, err = run(capsys, "classify", "5", "11x01")
@@ -297,6 +301,12 @@ class TestWeighted:
         assert [recs[0][k] for k in verdicts] == [recs[1][k] for k in verdicts] == [True] * 3
         assert recs[0]["discriminant"] == 0 and recs[1]["discriminant"] == -8
 
+    def test_k3_three_numbers_name_the_accepted_shapes(self, capsys):
+        code, out, err = run(capsys, "weighted", "k3", "--weights", "[1,2,3]")
+        assert code == 2 and out == ""
+        assert err == ("invalid input: k3 weights must be [a,b,c,alpha,beta,gamma] "
+                       "or a 3x3 matrix\n")
+
     def test_k3_bad_weights_exit_2(self, capsys):
         code, _, _ = run(capsys, "weighted", "k3", "--weights", "[1, 2]")
         assert code == 2
@@ -385,6 +395,8 @@ class TestSimulate:
     # finite step and horizon whose step count is not
     ("simulate", "3", "000", "--horizon", "1e308"),
     ("simulate", "3", "000", "--step", "1e-320"),
+    # ring digraphs need n >= 3
+    ("trees", "2", "--i", "1"),
 ])
 def test_malformed_or_non_finite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -25,7 +25,6 @@ from ringspec.ringgraph import (
     GapDecomposition,
     RingDigraph,
     arcs,
-    canonical_form,
     char_poly,
     classification_record,
     classify_exact,
@@ -149,25 +148,6 @@ class TestDecompose:
                     assert dec.gaps == ()
 
 
-class TestCanonicalForm:
-    def test_examples(self):
-        assert canonical_form(
-            RingDigraph.from_mask_string(4, "0110")).mask_string() == "0011"
-        g = RingDigraph(5, (True,) * 5)
-        assert canonical_form(g) == g
-        assert canonical_form(
-            RingDigraph.from_mask_string(6, "101101")).mask_string() == "011011"
-
-    def test_rotations_share_canonical_form(self):
-        mask = "1101001"
-        forms = set()
-        for r in range(7):
-            rotated = mask[r:] + mask[:r]
-            forms.add(canonical_form(
-                RingDigraph.from_mask_string(7, rotated)).mask_string())
-        assert len(forms) == 1
-
-
 class TestCharPoly:
     def test_single_gap_instance(self):
         g = RingDigraph.from_mask_string(3, "110")
@@ -218,7 +198,7 @@ class TestCharPoly:
             raise AssertionError("the oracle called the exact route's product")
 
         graphs = [RingDigraph(n, mask) for n in range(3, 10) for mask in all_masks(n)]
-        expected = [char_poly(g) for g in graphs]
+        expected = [(char_poly(g), classify_exact(g).essentially_cyclic) for g in graphs]
         path = [[0] * 40 for _ in range(40)]
         for i in range(40):
             path[i][i] = 2 if i < 39 else 1
@@ -226,10 +206,12 @@ class TestCharPoly:
                 path[i][i - 1] = path[i - 1][i] = -1
         z40 = z_poly(40)
         for fn in (polycore.poly_mul, polycore.poly_product, polycore._pack, polycore._unpack,
-                   polycore._digits, polycore._balanced_low):
+                   polycore._digits, polycore._balanced_low, polycore.classify_product_real):
             monkeypatch.setattr(fn, "__code__", unavailable.__code__)
-        for g, poly in zip(graphs, expected):
-            assert char_poly_exact(laplacian(g)) == poly, (g.n, g.mask_string())
+        for g, (poly, cyclic) in zip(graphs, expected):
+            matrix_poly = char_poly_exact(laplacian(g))
+            assert matrix_poly == poly, (g.n, g.mask_string())
+            assert spectral_verdict(matrix_poly) == cyclic, (g.n, g.mask_string())
         assert char_poly_exact(path) == z40
 
     def test_gap_product_matches_the_matrix_on_every_multiset(self):
@@ -243,7 +225,10 @@ class TestCharPoly:
                 assert sorted(decompose(g).gaps) == (sorted(parts) if len(parts) < n else [])
                 graphs.append(g)
             for g in graphs:
-                assert char_poly(g) == char_poly_exact(laplacian(g)), (n, g.mask_string())
+                matrix_poly = char_poly_exact(laplacian(g))
+                assert char_poly(g) == matrix_poly, (n, g.mask_string())
+                assert spectral_verdict(matrix_poly) == classify_exact(g).essentially_cyclic, \
+                    (n, g.mask_string())
 
     def test_closed_form_families_match_the_matrix_at_three_hundred(self):
         # symmetric ring, bare cycle, single gap, balanced and near-balanced pair
@@ -417,14 +402,13 @@ class TestScan:
 
     def test_one_solve_per_gap_multiset(self, monkeypatch):
         n = 8
-        solves = []
-        real_aberth = rootfind.aberth_roots
+        calls = collections.Counter()
+        for name in ("aberth_roots", "char_poly_exact", "spectral_verdict"):
+            def counting(*args, _real=getattr(rootfind, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
 
-        def counting_aberth(p, cfg=CFG):
-            solves.append(p)
-            return real_aberth(p, cfg)
-
-        monkeypatch.setattr(rootfind, "aberth_roots", counting_aberth)
+            monkeypatch.setattr(rootfind, name, counting)
         multisets = set()
         for mask in all_masks(n):
             absent = [j for j in range(n) if not mask[j]]
@@ -444,8 +428,9 @@ class TestScan:
         monkeypatch.setattr(ringgraph, "classify_exact", counting_classify)
         monkeypatch.setattr(ringgraph, "char_poly", counting_product)
         res = exhaustive_scan(n)
-        assert len(solves) == len(multisets) == res["multisets"]
-        assert len(products) == len(multisets)
+        assert calls["spectral_verdict"] == calls["char_poly_exact"] == len(multisets) \
+            == res["multisets"]
+        assert calls["aberth_roots"] == 0 and products == []
         # one decomposition per composition of n, plus K = 0 and K = n
         assert res["decompositions"] == 2 ** (n - 1) + 1
         assert len(classified) == 2 ** (n - 1) + 1
@@ -454,10 +439,11 @@ class TestScan:
 
     def test_layer_counts_from_three_to_twelve(self, monkeypatch):
         # per n: 2**n decompositions, 2**(n-1) + 1 exact verdicts, and one
-        # gap product and one solve per gap multiset
+        # matrix polynomial and one Sturm verdict per gap multiset
         calls = collections.Counter()
         for module, name in ((ringgraph, "decompose"), (ringgraph, "classify_exact"),
-                             (ringgraph, "char_poly"), (rootfind, "aberth_roots")):
+                             (ringgraph, "char_poly"), (rootfind, "aberth_roots"),
+                             (rootfind, "char_poly_exact"), (rootfind, "spectral_verdict")):
             def counting(*args, _real=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
@@ -470,7 +456,7 @@ class TestScan:
             multisets += res["multisets"]
         assert multisets == 278
         assert dict(calls) == {"decompose": 8184, "classify_exact": 4102,
-                               "char_poly": 278, "aberth_roots": 278}
+                               "char_poly_exact": 278, "spectral_verdict": 278}
 
     def test_memo_keeps_gap_order(self, monkeypatch):
         # flip the exact verdict of one ordered gap tuple only: the scan must
@@ -508,24 +494,18 @@ class TestScan:
         assert len(decompose_calls) == 2 ** 5
 
     def test_no_refinement_up_to_twelve(self, monkeypatch):
-        # every real spectrum comes out of the solve on the real axis
+        # the scan makes no _polish and no aberth_roots call
         calls = []
-        polish = rootfind._polish
+        for name in ("_polish", "aberth_roots"):
+            def counting(*args, _real=getattr(rootfind, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
 
-        def counting(*args):
-            calls.append(args)
-            return polish(*args)
-
-        monkeypatch.setattr(rootfind, "_polish", counting)
+            monkeypatch.setattr(rootfind, name, counting)
         res = exhaustive_scan(12)
         assert calls == []
         assert res["disagreements"] == []
         assert res["ambiguous"] == []
-        # the patched name is the verdict's polish: classify 20 01...1
-        # --numeric has roots in the suspicious band
-        g = RingDigraph.from_mask_string(20, "0" + "1" * 19)
-        assert spectral_verdict(spectrum_numeric(g, CFG)) is False
-        assert len(calls) == 1
 
     @pytest.mark.parametrize("n", [15, 16])
     def test_symmetric_ring_double_roots_beyond_degree_twelve(self, n):

@@ -23,7 +23,6 @@ from ringspec.ringgraph import (
     spectrum_numeric,
 )
 from ringspec.rootfind import (
-    AmbiguousSpectrumError,
     RootFinderConfig,
     aberth_roots,
     char_poly_exact,
@@ -117,8 +116,6 @@ class TestAberth:
         monkeypatch.setattr(rootfind, "MAX_ITERATIONS", 1)
         rs = aberth_roots(z_poly(9), CFG)
         assert rs.converged is False
-        with pytest.raises(ValueError):
-            spectral_verdict(rs)
 
     def test_residual_bound(self):
         # every converged root satisfies |p(z)| <= 1e-9 sum|a| max(1,|z|)^deg
@@ -705,32 +702,17 @@ class TestCharPolyFloat:
 class TestSpectralVerdict:
     def test_bare_cycle_is_cyclic(self):
         g = RingDigraph.from_mask_string(4, "0000")
-        rs = aberth_roots(char_poly_exact(laplacian(g)), CFG)
-        assert spectral_verdict(rs) is True
+        assert spectral_verdict(char_poly_exact(laplacian(g))) is True
 
     def test_real_spectrum(self):
         # (x)(x-2)^2(x-4): all real with a double root
         p = IntPolynomial([0, 16, -20, 8, -1])
-        assert spectral_verdict(aberth_roots(p, CFG)) is False
-
-    def test_split_double_root_classified_real(self):
-        g = RingDigraph.from_mask_string(7, "1101110")  # near-balanced, doubles
-        p = char_poly_exact(laplacian(g)).coefficients
-        assert aberth_roots(p, CFG).max_abs_imag() <= 1e-13
-        # the same spectrum with each double root split by +-1e-6 i, built by
-        # hand: refinement has to rejoin the pairs on the real axis
-        reals = sorted(z.real for z in closed_form_spectrum(g))
-        doubles = [x for x, y in zip(reals, reals[1:]) if abs(x - y) < 1e-9]
-        split = (0j,) + tuple(complex(x, s * 1e-6) for x in doubles for s in (1, -1))
-        match_multisets(closed_form_spectrum(g), split, 1e-6)
-        rs = rootfind.ComplexRootSet(split, True, p)
-        assert rs.max_abs_imag() > 1e-9  # genuinely split before refinement
-        assert spectral_verdict(rs) is False
+        assert spectral_verdict(p) is False
 
     @pytest.mark.parametrize("n", [20, 30])
     def test_one_grid_per_verdict(self, monkeypatch, n):
-        # classify n 01...1 --numeric: the verdict polishes every root in the
-        # suspicious band on one 60-digit grid of the square-free part
+        # refine_all polishes every root of classify n 01...1's spectrum on
+        # one 60-digit grid of the square-free part
         rs = spectrum_numeric(RingDigraph.from_mask_string(n, "0" + "1" * (n - 1)), CFG)
         calls = []
         fixed_point = rootfind._fixed_point
@@ -740,15 +722,38 @@ class TestSpectralVerdict:
             return fixed_point(*args)
 
         monkeypatch.setattr(rootfind, "_fixed_point", counting)
-        spectral_verdict(rs)
+        refine_all(rs)
         assert len(calls) == 1
 
     def test_ambiguous_band_raises(self):
-        # a true conjugate pair with |Im| = 1e-8 sits inside the band
-        p = IntPolynomial([int(1e16 * 1e-16 + 1), 0, 10 ** 16])  # 1 + 1e16 x^2
-        rs = aberth_roots(p, CFG)
-        with pytest.raises(AmbiguousSpectrumError):
-            spectral_verdict(rs)
+        # 1 + 1e16 x^2: a conjugate pair with |Im| = 1e-8, which a tolerance
+        # on root sets cannot tell from a real double root; the count can
+        p = IntPolynomial([1, 0, 10 ** 16])
+        assert spectral_verdict(p) is True
+        assert spectral_verdict(IntPolynomial([1, 0, -10 ** 16])) is False
+
+    def test_counts_without_roots(self, monkeypatch):
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the verdict computed a root")
+
+        cases = [
+            (IntPolynomial([1, 0, 1]), True),
+            (IntPolynomial([-3, 7, -5, 1]), False),  # (x-1)^2 (x-3)
+            (IntPolynomial([1, 0, 2, 0, 1]), True),  # (x^2+1)^2: no real root
+            (IntPolynomial([0, 0, 0, 5]), False),
+            (IntPolynomial([-1, 0, 0, 1]), True),
+            ([0.5, -1.5, 1.0], False),  # (x - 1/2)(x - 1), exactly in binary
+            ([3.0, 2.0], False),
+            (char_poly_exact(laplacian(RingDigraph.from_mask_string(7, "1101110"))), False),
+            (char_poly_exact(laplacian(RingDigraph.from_mask_string(8, "11011110"))), True),
+        ]
+        for name in ("aberth_roots", "_aberth", "_fixed_aberth", "_polish", "_companion_starts"):
+            monkeypatch.setattr(rootfind, name, unavailable)
+        monkeypatch.setattr(np, "roots", unavailable)
+        for p, cyclic in cases:
+            assert spectral_verdict(p) is cyclic, p
+        with pytest.raises(ValueError):
+            spectral_verdict([1.0])
 
 
 class TestSerialization:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ringspec import weighted
-from ringspec.rootfind import RootFinderConfig, aberth_roots, char_poly_float, spectral_verdict
+from ringspec.rootfind import char_poly_float, spectral_verdict
 from ringspec.weighted import (
     BoundaryNotFoundError,
     WeightMatrix,
@@ -33,8 +33,6 @@ from ringspec.weighted import (
     unit_scaled,
     weighted_laplacian,
 )
-
-CFG = RootFinderConfig()
 
 
 class TestWeightMatrix:
@@ -139,8 +137,7 @@ class TestK3:
             if abs(d) <= 1e-6:
                 continue
             triangle = k3_classify(wm)
-            numeric = spectral_verdict(
-                aberth_roots(char_poly_float(weighted_laplacian(wm)), CFG))
+            numeric = spectral_verdict(char_poly_float(weighted_laplacian(wm)))
             assert triangle == (d < 0) == numeric, (a, b, c, alpha, beta, gamma)
             checked += 1
 
@@ -255,8 +252,7 @@ class TestChordedC4:
                 d = chorded_c4_discriminant(p, float(y))
                 if abs(d) < 1e-3:
                     continue
-                verdict = spectral_verdict(aberth_roots(
-                    char_poly_float(chorded_c4_laplacian(p, float(y))), CFG))
+                verdict = spectral_verdict(char_poly_float(chorded_c4_laplacian(p, float(y))))
                 assert verdict == (d < 0), (p, y, d)
 
 
