@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,9 +82,6 @@ class ComplexRootSet:
     #: the roots at the working precision that found them, as
     #: :class:`_FixedComplex` (working-precision route only)
     working: tuple = field(default=(), repr=False, compare=False)
-
-    def max_abs_imag(self) -> float:
-        return max(abs(z.imag) for z in self.roots)
 
     def to_json(self) -> list[list[float]]:
         return [[z.real, z.imag] for z in self.roots]
@@ -601,10 +599,11 @@ def char_poly_exact(matrix) -> IntPolynomial:
     (:func:`_transfer_char_poly`), O(n**2) coefficient operations.  Every
     other matrix, n <= 2 included, goes through the Faddeev-LeVerrier trace
     recursion (:func:`_faddeev_leverrier`).  Both run on Python integers and
-    read only the matrix entries.  Returns a monic polynomial of degree n
-    with ascending coefficients.
+    read only the matrix entries, which must be integers: a float entry
+    raises TypeError instead of being truncated.  Returns a monic polynomial
+    of degree n with ascending coefficients.
     """
-    rows = [[int(v) for v in row] for row in matrix]
+    rows = [[operator.index(v) for v in row] for row in matrix]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")

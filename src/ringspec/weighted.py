@@ -13,10 +13,12 @@ digraph is essentially cyclic.
 * The complete digraph on three vertices: cyclicity is equivalent to a
   strict triangle inequality on the square roots of opposing-arc weight
   differences (:func:`k3_classify`), and to the sign of the closed-form
-  quadratic discriminant (:func:`k3_discriminant`).
+  quadratic discriminant (:func:`k3_discriminant`), computed on the weights'
+  exact rational values.
 * A 4-cycle with one shortcut arc of weight p and one variable arc weight y
   (:func:`chorded_c4_discriminant`): cyclicity holds on a single window
-  y in (y1, y2) found by bisection.
+  y in (y1, y2) that contains y = 1, its edges found by bisection on exact
+  values (:func:`chorded_c4_boundary`).
 * A weighted 4-cycle with arc weights {4, 9, a, x}: the fixed pair (4, 9) is
   forced by the cubic coefficients 13 = 4 + 9 and 36 = 4 * 9.  The region
   boundary also has a closed quartic form (:func:`c4_boundary_value`) which
@@ -30,18 +32,14 @@ or Fractions and stay exact on exact input.
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 #: The two fixed arc weights of the variable-weight 4-cycle.
 C4_FIXED_WEIGHTS = (4, 9)
-
-
-class BoundaryNotFoundError(RuntimeError):
-    """Raised when no sign change brackets the cyclicity window."""
 
 
 @dataclass(frozen=True)
@@ -91,31 +89,29 @@ class CyclicityRegionSample:
     triangle_ok: bool
 
 
-def weighted_laplacian(wm: WeightMatrix) -> list[list[float]]:
-    """Off-diagonal -w[i][j], diagonal = row weight sum; zero row sums."""
-    n = wm.n
-    return [
-        [sum(wm.w[i]) if i == j else -wm.w[i][j] for j in range(n)]
-        for i in range(n)
-    ]
+def weighted_laplacian(wm: WeightMatrix) -> list[list[Fraction]]:
+    """Off-diagonal -w[i][j], diagonal = row weight sum; zero row sums.
 
-
-def unit_scaled(wm: WeightMatrix) -> tuple[WeightMatrix, int]:
-    """(wm * 2**-e, e): weights below 1 moved up so that the largest is in [1, 2).
-
-    Essential cyclicity does not change when every weight is multiplied by
-    the same positive factor, and a power of two changes no bit of a
-    weight, so products of tiny weights (a discriminant near 1e-600) no
-    longer underflow to zero.  A weight matrix whose largest weight is 1 or
-    more, or zero, comes back unchanged with e = 0, so weights large enough
-    to overflow the characteristic polynomial are still rejected as invalid
-    input.
+    The entries are the weights' exact values as ``Fraction``: a row sum of
+    doubles rounded to a double would leave the rows summing to a tiny
+    nonzero value, which moves the zero eigenvalue off zero and can split a
+    repeated one into a conjugate pair.
     """
-    top = max(max(row) for row in wm.w)
-    if top == 0 or top >= 1:
-        return wm, 0
-    e = math.frexp(top)[1] - 1
-    return WeightMatrix([[math.ldexp(v, -e) for v in row] for row in wm.w]), e
+    w = [[Fraction(v) for v in row] for row in wm.w]
+    return [[sum(row) if i == j else -v for j, v in enumerate(row)]
+            for i, row in enumerate(w)]
+
+
+def integer_scaled(matrix) -> list[list[int]]:
+    """The matrix times the lcm of its entries' denominators, as Python ints.
+
+    Every entry is read as its exact ``Fraction``; for doubles the lcm is a
+    power of two.  Scaling by a positive factor scales every eigenvalue by
+    that factor, so whether the spectrum is real does not change.
+    """
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
 
 
 def k3_matrix(a, b, c, alpha, beta, gamma) -> WeightMatrix:
@@ -136,17 +132,29 @@ def k3_weights(wm: WeightMatrix) -> tuple[float, float, float, float, float, flo
     return w[2][0], w[0][1], w[1][2], w[1][0], w[2][1], w[0][2]
 
 
-def k3_discriminant(wm: WeightMatrix) -> float:
-    """Discriminant of the nonzero-eigenvalue quadratic; negative means cyclic."""
-    a, b, c, alpha, beta, gamma = k3_weights(wm)
+def k3_discriminant(wm: WeightMatrix) -> Fraction:
+    """Discriminant of the nonzero-eigenvalue quadratic; negative means cyclic.
+
+    Computed on the weights' exact values, so its sign is never rounding
+    noise and it neither underflows nor overflows.
+    """
+    a, b, c, alpha, beta, gamma = map(Fraction, k3_weights(wm))
     s = a + b + c + alpha + beta + gamma
     q = (a * b + b * c + c * a + alpha * beta + beta * gamma + gamma * alpha
          + a * alpha + b * beta + c * gamma)
     return s * s - 4 * q
 
 
-def _strict_triangle(r1: float, r2: float, r3: float) -> bool:
-    return r1 < r2 + r3 and r2 < r1 + r3 and r3 < r1 + r2
+def _sqrt_triangle(d1, d2, d3) -> bool:
+    """Strict triangle inequality on sqrt(d1), sqrt(d2), sqrt(d3), d_i >= 0.
+
+    sqrt(x) < sqrt(y) + sqrt(z) iff t = x - y - z < 0 or t**2 < 4*y*z, so
+    no square root is taken and the answer is exact on ``Fraction`` input.
+    """
+    def below(x, y, z):
+        t = x - y - z
+        return t < 0 or t * t < 4 * y * z
+    return below(d1, d2, d3) and below(d2, d1, d3) and below(d3, d1, d2)
 
 
 def k3_classify(wm: WeightMatrix) -> bool:
@@ -156,14 +164,14 @@ def k3_classify(wm: WeightMatrix) -> bool:
     b - beta, c - gamma), or of all their negations, are real and satisfy the
     strict triangle inequality.  Agrees with ``k3_discriminant(wm) < 0`` and,
     for pure cycles (alpha = beta = gamma = 0), reduces to the strict
-    triangle inequality on sqrt(a), sqrt(b), sqrt(c).
+    triangle inequality on sqrt(a), sqrt(b), sqrt(c).  The differences and
+    the inequality are computed on the weights' exact values.
     """
-    a, b, c, alpha, beta, gamma = k3_weights(wm)
+    a, b, c, alpha, beta, gamma = map(Fraction, k3_weights(wm))
     diffs = (a - alpha, b - beta, c - gamma)
     for signed in (diffs, tuple(-d for d in diffs)):
-        if all(d >= 0 for d in signed):
-            if _strict_triangle(*(math.sqrt(d) for d in signed)):
-                return True
+        if all(d >= 0 for d in signed) and _sqrt_triangle(*signed):
+            return True
     return False
 
 
@@ -214,87 +222,68 @@ def chorded_c4_quartic(p, y):
     Kept as an independent expression; the tests verify it coincides with
     :func:`chorded_c4_discriminant` exactly.
     """
+    q = p + 3
     value = 0
-    for c in _chorded_c4_quartic_coefficients(p):
+    for c in (q * (q - 4),
+              -(2 * q ** 3 - 8 * q ** 2 + 4),
+              q * (q ** 3 - 2 * q ** 2 - 8 * q + 6),
+              -2 * q * (q + 2) * (q - 3) ** 2,
+              (q + 1) * (q - 3) ** 3):
         value = value * y + c
     return value
-
-
-def _chorded_c4_quartic_coefficients(p) -> tuple:
-    """Coefficients of :func:`chorded_c4_quartic` in y, highest degree first."""
-    q = p + 3
-    return (q * (q - 4),
-            -(2 * q ** 3 - 8 * q ** 2 + 4),
-            q * (q ** 3 - 2 * q ** 2 - 8 * q + 6),
-            -2 * q * (q + 2) * (q - 3) ** 2,
-            (q + 1) * (q - 3) ** 3)
 
 
 def chorded_c4_boundary(p: float) -> tuple[float, float]:
     """The edges (y1, y2) of the window of positive y where the digraph is cyclic.
 
-    The candidates are the positive real parts of the quartic's roots
-    (``numpy.roots``), and for p <= 1 also sqrt(4/27) * p**1.5 when that is
-    a positive double: the lower edge tends to it as p shrinks, and
-    ``numpy.roots`` no longer resolves it at small p.  Each candidate is
-    bracketed by the midpoints to its neighbours (by half the smallest
-    candidate and twice the largest at the ends), and
-    only a bracket across which the exact discriminant, evaluated on
-    ``Fraction`` values, changes sign holds an edge: the double-precision
-    discriminant is rounding noise near the edges once p is large, and
-    ``numpy.roots`` also returns false real roots there.  Each edge is
-    bisected on exact values down to adjacent doubles, and the one on the
-    cyclic side is returned, so the discriminant is negative at y1 and y2
-    and nonnegative at the doubles just outside them.  For p > 1 the window
-    is two-sided.  For p <= 1 the quartic's leading coefficient (p+3)(p-1)
-    is no longer positive, the discriminant stays negative for all large y,
-    and the right edge is reported as inf.  Raises ValueError when the
-    quartic's coefficients overflow double precision and
-    :class:`BoundaryNotFoundError` when no edge is found.
+    At y = 1 the discriminant is -4p**3 - (11p**2 - 8p + 16), negative for
+    every p > 0 since 11p**2 - 8p + 16 has discriminant 64 - 704 < 0, so
+    y = 1 lies inside the window, which is a single interval.  Each edge is
+    bisected on the exact ``Fraction`` discriminant between y = 1 and the
+    end of the positive doubles, down to adjacent doubles, and the one on
+    the cyclic side is returned: the discriminant is negative at y1 and y2
+    and nonnegative at the doubles just outside them.  An edge beyond the
+    doubles is reported as the smallest positive double (y1, at tiny p) or
+    as inf (y2, for p <= 1, where the quartic's leading coefficient
+    (p+3)(p-1) is no longer positive and large y stays cyclic).
     """
     if not (math.isfinite(p) and p > 0):
         raise ValueError(f"need a finite p > 0, got {p}")
     exact = Fraction(p)
-    try:
-        coeffs = [float(c) for c in _chorded_c4_quartic_coefficients(exact)]
-    except OverflowError:
-        raise ValueError(f"the quartic in y overflows double precision at p={p}") from None
 
     def cyclic(y: float) -> bool:
         return chorded_c4_discriminant(exact, Fraction(y)) < 0
 
-    ys = [float(z.real) for z in np.roots(coeffs) if z.real > 0]
-    small_edge = math.sqrt(4 / 27) * p ** 1.5 if p <= 1 else 0.0
-    if small_edge > 0:
-        ys.append(small_edge)
-    ys.sort()
-    cuts = ([0.5 * y for y in ys[:1]] + [0.5 * (a + b) for a, b in zip(ys, ys[1:])]
-            + [2.0 * y for y in ys[-1:]])
-    crossings = [_bisect(cyclic, lo, hi) for lo, hi in zip(cuts, cuts[1:])
-                 if cyclic(lo) != cyclic(hi)]
-    if len(crossings) == 2:
-        return crossings[0], crossings[1]
-    if len(crossings) == 1 and p <= 1 and cyclic(cuts[-1]):
-        return crossings[0], math.inf
-    raise BoundaryNotFoundError(
-        f"expected one cyclicity window for p={p}, found {len(crossings)} crossings"
-    )
+    tiny, top = math.ulp(0.0), sys.float_info.max
+    y1 = tiny if cyclic(tiny) else _bisect(cyclic, 1.0, tiny)
+    y2 = math.inf if cyclic(top) else _bisect(cyclic, 1.0, top)
+    return y1, y2
 
 
-def _bisect(cyclic, lo: float, hi: float) -> float:
-    """Of the two adjacent doubles where ``cyclic`` flips in (lo, hi), the cyclic one.
+def _bisect(cyclic, inside: float, outside: float) -> float:
+    """Of the two adjacent doubles where ``cyclic`` flips between the two, the cyclic one.
 
-    ``cyclic(lo)`` and ``cyclic(hi)`` must differ.
+    ``inside`` and ``outside`` are positive doubles, ``cyclic(inside)`` true
+    and ``cyclic(outside)`` false.  The bisection halves the range of their
+    bit patterns, which run in the same order as the values of positive
+    doubles, so it takes at most 64 steps.
     """
-    lo_cyclic = cyclic(lo)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return lo if lo_cyclic else hi
-        if cyclic(mid) == lo_cyclic:
-            lo = mid
+    cyc, out = _bits(inside), _bits(outside)
+    while abs(out - cyc) > 1:
+        mid = (cyc + out) // 2
+        if cyclic(_double(mid)):
+            cyc = mid
         else:
-            hi = mid
+            out = mid
+    return _double(cyc)
+
+
+def _bits(y: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", y))[0]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 # -- weighted 4-cycle with two variable weights ------------------------------
@@ -345,10 +334,11 @@ def c4_boundary_value(a, x):
 
 
 def c4_triangle_ok(a: float, x: float) -> bool:
-    """Strict triangle inequality on square roots of the three smallest weights."""
-    w1, w2, w3 = sorted((float(C4_FIXED_WEIGHTS[0]), float(C4_FIXED_WEIGHTS[1]),
-                         float(a), float(x)))[:3]
-    return _strict_triangle(math.sqrt(w1), math.sqrt(w2), math.sqrt(w3))
+    """Strict triangle inequality on square roots of the three smallest weights.
+
+    Decided on the weights' exact values.
+    """
+    return _sqrt_triangle(*sorted(map(Fraction, (*C4_FIXED_WEIGHTS, a, x)))[:3])
 
 
 def c4_scan(a_grid: Sequence[float], x_grid: Sequence[float]) -> list[CyclicityRegionSample]:

@@ -238,7 +238,7 @@ class TestScan:
                                                          (5, 32, 17, 8)]):
             head, ms = line.rsplit(", ", 1)
             assert head == (f"scan n={n}: {masks} masks, {decs} decompositions, "
-                            f"{sets} multisets solved")
+                            f"{sets} multisets checked")
             assert ms.endswith(" ms") and float(ms[:-3]) >= 0
 
     def test_bad_range_exits_2(self, capsys):
@@ -301,6 +301,27 @@ class TestWeighted:
         assert [recs[0][k] for k in verdicts] == [recs[1][k] for k in verdicts] == [True] * 3
         assert recs[0]["discriminant"] == 0 and recs[1]["discriminant"] == -8
 
+    @pytest.mark.parametrize("weights", ["[1,1e-9,1e-9,0,0,0]", "[1,1e-300,1e-300,0,0,0]"])
+    def test_k3_lopsided_cycle_is_not_cyclic(self, capsys, weights):
+        # the float characteristic polynomial's constant term came out near
+        # -9.4e-18 here instead of 0 and made the numeric verdict true
+        code, out, err = run(capsys, "weighted", "k3", "--weights", weights)
+        rec = json.loads(out)
+        assert code == 0, err
+        assert rec["discriminant"] > 0
+        assert [rec[k] for k in ("essentially_cyclic", "triangle_criterion",
+                                 "numeric_essentially_cyclic")] == [False] * 3
+
+    def test_k3_huge_weights_are_answered(self, capsys):
+        # the polynomial and its discriminant fit a double, though M**3 does not
+        code, out, err = run(capsys, "weighted", "k3", "--weights",
+                             "[1e110,1e110,1e110,0,0,0]")
+        rec = json.loads(out)
+        assert code == 0, err
+        assert rec["discriminant"] == -3e220
+        assert [rec[k] for k in ("essentially_cyclic", "triangle_criterion",
+                                 "numeric_essentially_cyclic")] == [True] * 3
+
     def test_k3_three_numbers_name_the_accepted_shapes(self, capsys):
         code, out, err = run(capsys, "weighted", "k3", "--weights", "[1,2,3]")
         assert code == 2 and out == ""
@@ -327,13 +348,12 @@ class TestWeighted:
         assert rec["boundary"][0] == pytest.approx(3.849e-46, rel=1e-3)
         assert rec["boundary"][1] == math.inf
 
-    def test_chorded_boundary_not_found_exits_1(self, capsys):
-        # at p = 1e-300 the sampled discriminant never changes sign
+    def test_chorded_boundary_at_tiny_p(self, capsys):
+        # at p = 1e-300 the exact discriminant is already negative at the
+        # smallest positive double, so the window is all of y > 0
         code, out, err = run(capsys, "weighted", "chorded-c4", "--p", "1e-300")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("numeric failure:")
-        assert err.count("\n") == 1
+        assert code == 0, err
+        assert json.loads(out)["boundary"] == [5e-324, math.inf]
 
     def test_c4_csv(self, capsys):
         code, out, _ = run(capsys, "weighted", "c4", "--a-max", "12",
@@ -381,10 +401,11 @@ class TestSimulate:
     ("weighted", "chorded-c4", "--p", "inf"),
     ("weighted", "c4", "--a-max", "nan", "--steps", "3"),
     ("weighted", "c4", "--x-max", "inf", "--steps", "3"),
-    ("weighted", "chorded-c4", "--p", "1e300"),
+    ("weighted", "chorded-c4", "--p", "0"),
     ("weighted", "c4", "--a-max", "1e300", "--steps", "2"),
     ("weighted", "k3", "--weights", "[1e308,1e308,1e308,0,0,0]"),
-    ("weighted", "k3", "--weights", "[1e110,1e110,1e110,0,0,0]"),
+    # a discriminant near -3e400, beyond double range
+    ("weighted", "k3", "--weights", "[1e200,1e200,1e200,0,0,0]"),
     ("simulate", "3", "000", "--x0", "1e308,-1e308,0", "--report"),
     ("weighted", "k3", "--weights", "[1,2,3,0,0,true]"),
     ("weighted", "k3", "--weights", "[[0,1,2],[1,0,1],[1,1,false]]"),

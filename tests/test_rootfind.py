@@ -493,7 +493,7 @@ class TestRefinement:
         g = RingDigraph.from_mask_string(9, "111011110")
         p = char_poly_exact(laplacian(g))
         rs = refine_all(aberth_roots(p, CFG))
-        assert rs.max_abs_imag() < 1e-12
+        assert max(abs(z.imag) for z in rs.roots) < 1e-12
 
 
 def _monic_from_roots(roots):
@@ -653,6 +653,12 @@ class TestCharPolyExact:
             assert list(char_poly_exact(m).coefficients) == cs, m
         with pytest.raises(ValueError):
             char_poly_exact([[1, 2, 3], [4, 5, 6]])
+
+    def test_float_entries_are_refused(self):
+        # int() would truncate 0.5 to 0 and answer x**2 - x
+        with pytest.raises(TypeError):
+            char_poly_exact([[0.5, 0], [0, 1]])
+        assert char_poly_exact(np.array([[2, 0], [0, 1]])).coefficients == (2, -3, 1)
 
     def test_dense_matrices_match_numpy(self):
         rng = np.random.default_rng(23)

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from ringspec import weighted
-from ringspec.rootfind import char_poly_float, spectral_verdict
+from ringspec.rootfind import char_poly_exact, char_poly_float, spectral_verdict
 from ringspec.weighted import (
-    BoundaryNotFoundError,
     WeightMatrix,
     c4_boundary_value,
     c4_cubic,
@@ -29,8 +28,8 @@ from ringspec.weighted import (
     k3_discriminant,
     k3_matrix,
     k3_weights,
+    integer_scaled,
     scan_csv,
-    unit_scaled,
     weighted_laplacian,
 )
 
@@ -74,26 +73,24 @@ class TestWeightedLaplacian:
             lap = weighted_laplacian(WeightMatrix(w.tolist()))
             assert all(abs(sum(row)) < 1e-12 for row in lap)
 
+    def test_row_sums_are_exact(self):
+        # 2**33 + 1 + 2**-20 needs 54 bits, so a double row sum rounds, and
+        # the rounded diagonal splits the double eigenvalue of this
+        # discriminant-zero instance into a conjugate pair
+        wm = k3_matrix(4, 1 + 2.0 ** -20, 2.0 ** 33 + 1, 0, 2.0 ** -20, 2.0 ** 33)
+        lap = weighted_laplacian(wm)
+        assert all(sum(row) == 0 for row in lap)
+        assert k3_discriminant(wm) == 0
+        assert spectral_verdict(char_poly_exact(integer_scaled(lap))) is False
+
 
 class TestK3:
     def test_discriminant_examples(self):
         assert k3_discriminant(k3_matrix(1, 1, 1, 1, 1, 1)) == 0
         assert k3_discriminant(k3_matrix(1, 1, 1, 0, 0, 0)) == -3
         assert k3_discriminant(k3_matrix(4, 1, 1, 0, 0, 0)) == 0
-
-    def test_unit_scaling_keeps_every_bit_of_the_discriminant(self):
-        for weights in [(0.1, 0.2, 0.3, 0, 0, 0), (0.7, 1e-3, 0.25, 0.5, 0, 1e-9),
-                        (1.5, 2, 3, 0, 0, 0), (0,) * 6]:
-            wm = k3_matrix(*weights)
-            unit, e = unit_scaled(wm)
-            if 0 < max(weights) < 1:
-                assert 1 <= max(max(row) for row in unit.w) < 2
-            else:
-                assert (unit, e) == (wm, 0)
-            assert math.ldexp(k3_discriminant(unit), 2 * e) == k3_discriminant(wm)
-        # below the double range's bottom only the scaled form keeps a sign
-        unit, e = unit_scaled(k3_matrix(1e-300, 2e-300, 3e-300, 0, 0, 0))
-        assert e < -990 and k3_discriminant(unit) < 0
+        # near -8e-600, below the double range's bottom: exact, so it keeps its sign
+        assert k3_discriminant(k3_matrix(1e-300, 2e-300, 3e-300, 0, 0, 0)) < 0
 
     def test_classify_examples(self):
         assert k3_classify(k3_matrix(1, 1, 1, 0, 0, 0)) is True
@@ -140,6 +137,31 @@ class TestK3:
             numeric = spectral_verdict(char_poly_float(weighted_laplacian(wm)))
             assert triangle == (d < 0) == numeric, (a, b, c, alpha, beta, gamma)
             checked += 1
+
+    def test_exact_numeric_verdict_sweep(self):
+        # weights spread over twelve decades with zeros mixed in: the Sturm
+        # count on the integer-scaled Laplacian and the exact discriminant
+        # decide the same question with no rounding, so they agree on every draw
+        rng = np.random.default_rng(19)
+        for _ in range(2000):
+            weights = 10.0 ** rng.uniform(-12, 0, size=6)
+            weights[rng.random(6) < 0.3] = 0.0
+            wm = k3_matrix(*weights.tolist())
+            numeric = spectral_verdict(char_poly_exact(integer_scaled(weighted_laplacian(wm))))
+            assert numeric == (k3_discriminant(wm) < 0), weights
+
+    def test_classify_is_exact_at_a_rounded_tie(self):
+        # a - alpha is 4 - 2**-52, which rounds to 4 in double precision and
+        # would make sqrt 2 = 1 + 1 a degenerate triangle
+        wm = k3_matrix(4, 3, 1, 2.0 ** -52, 2, 0)
+        assert k3_discriminant(wm) < 0
+        assert k3_classify(wm) is True
+
+    def test_integer_scaled(self):
+        assert integer_scaled([[0.5, -0.25], [3, Fraction(1, 3)]]) == [[6, -3], [36, 4]]
+        scaled = integer_scaled(weighted_laplacian(k3_matrix(1e-300, 2e-300, 3e-300, 0, 0, 0)))
+        assert all(type(v) is int for row in scaled for v in row)
+        assert all(sum(row) == 0 for row in scaled)
 
 
 class TestChordedC4:
@@ -192,11 +214,11 @@ class TestChordedC4:
 
     def test_boundary_at_large_p_stops_at_adjacent_doubles(self, monkeypatch):
         # near y = 1e10 adjacent doubles are ~2e-6 apart, far above the 1e-9
-        # accuracy; the bisection must stop once its midpoint stops moving
-        # (4096 scan samples plus well under 100 steps per edge).  Only the
-        # bisection's invariant is checked: at this p the double-precision
-        # discriminant near y = p is rounding noise, so where the edges land
-        # is not asserted.
+        # accuracy; the bisection must stop at adjacent doubles (two end
+        # evaluations plus at most 64 steps per edge).  Only the bisection's
+        # invariant is checked: at this p the double-precision discriminant
+        # near y = p is rounding noise, so where the edges land is not
+        # asserted.
         discriminant = weighted.chorded_c4_discriminant
         calls = 0
 
@@ -237,14 +259,42 @@ class TestChordedC4:
 
     @pytest.mark.parametrize("p", [1e-20, 1e-50, 1e-100])
     def test_window_at_small_p(self, p):
-        # the lower edge tends to sqrt(4/27) * p**1.5, far below what
-        # numpy.roots resolves; the window stays open to the right
+        # the lower edge tends to sqrt(4/27) * p**1.5, many decades below
+        # y = 1; the window stays open to the right
         y1, y2 = chorded_c4_boundary(p)
         assert y2 == math.inf
         assert y1 == pytest.approx(math.sqrt(4 / 27) * p ** 1.5, rel=1e-3)
         exact = Fraction(p)
         assert chorded_c4_discriminant(exact, Fraction(y1)) < 0
         assert chorded_c4_discriminant(exact, Fraction(math.nextafter(y1, 0))) >= 0
+
+    @pytest.mark.parametrize("p", [1e-216, 1e-300, 5e-324, 3e31, 1e50, 1e76, 1e300, 1.7e308])
+    def test_window_at_extreme_p(self, p):
+        # the exact discriminant is negative at both edges and nonnegative at
+        # the next double outward, unless an edge is the end of the doubles
+        y1, y2 = chorded_c4_boundary(p)
+        exact = Fraction(p)
+        assert 0 < y1 <= 1 <= y2
+        for edge, outward, end in ((y1, 0.0, 5e-324), (y2, math.inf, math.inf)):
+            if math.isfinite(edge):
+                assert chorded_c4_discriminant(exact, Fraction(edge)) < 0
+            if edge != end:
+                beyond = math.nextafter(edge, outward)
+                assert chorded_c4_discriminant(exact, Fraction(beyond)) >= 0
+
+    @pytest.mark.parametrize("p", [1e-215, 3.0, 1e300])
+    def test_boundary_evaluation_count(self, monkeypatch, p):
+        discriminant = weighted.chorded_c4_discriminant
+        calls = 0
+
+        def counting(p, y):
+            nonlocal calls
+            calls += 1
+            return discriminant(p, y)
+
+        monkeypatch.setattr(weighted, "chorded_c4_discriminant", counting)
+        chorded_c4_boundary(p)
+        assert 0 < calls <= 2 * 64 + 2
 
     def test_sign_matches_numeric_spectrum(self):
         for p in (1.0, 2.0, 3.0, 5.0):
