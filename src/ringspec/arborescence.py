@@ -1,14 +1,22 @@
 """Counting spanning converging trees (in-arborescences) in ring digraphs.
 
-The cofactor route: for a digraph Laplacian with zero row sums, every
-cofactor taken in row v equals the number of spanning trees converging to v,
-so the principal minor at (v, v) already is the per-root count and the total
-is their sum (the all-minors matrix-tree theorem).  Hence adj(L) = 1 t^T,
-and the count vector t spans the left kernel of L: one fraction-free
-(Bareiss) solve on that kernel gives every count in O(n^3) instead of n
-separate minors.  Arithmetic stays in exact integers, and the result is
-checked against t^T L = 0, because these counts serve as ground truth for
-the oracle tests.
+The closed form: in a tree converging to v every other vertex keeps one
+out-arc, so v+1, ..., v+a step back along forward arcs and v-1, ..., v-b
+step up along reverse arcs, with a + b = n - 1.  Hence t_v is one more than
+the run of present reverse arcs ending at v - 1, capped at n: n on the
+symmetric ring, 1 on the bare cycle.  :func:`tree_counts` takes every t_v
+from two laps of the mask, then certifies them in O(n) against the
+Laplacian's nonzeros before returning them; ``trees <n> <mask>`` answers
+from it.
+
+The cofactor route, the tests' oracle: for a digraph Laplacian with zero row
+sums, every cofactor taken in row v equals the number of spanning trees
+converging to v, so the principal minor at (v, v) already is the per-root
+count and the total is their sum (the all-minors matrix-tree theorem).
+Hence adj(L) = 1 t^T, and the count vector t spans the left kernel of L:
+one fraction-free (Bareiss) solve on that kernel gives every count in
+O(n^3) instead of n separate minors.  Arithmetic stays in exact integers,
+and the result is checked against t^T L = 0.
 
 For the ring digraph missing exactly the reverse arcs at positions i and n,
 the total admits the closed form (i**2 + n + (n-i)**2) / 2, which reduces to
@@ -26,7 +34,7 @@ from typing import Sequence
 
 from . import rootfind
 from .polycore import IntPolynomial
-from .ringgraph import RingDigraph, arcs, laplacian
+from .ringgraph import RingDigraph, arcs
 
 BRUTE_FORCE_LIMIT = 9
 
@@ -139,6 +147,75 @@ def count_by_cofactor(laplacian_matrix: Sequence[Sequence[int]]) -> Arborescence
         if sum(t * row[j] for t, row in zip(per_root, rows)) != 0:
             raise ArithmeticError(f"tree counts fail t^T L = 0 in column {j}")
     return ArborescenceCount(tuple(per_root), sum(per_root))
+
+
+def _closed_form_counts(mask: Sequence[bool]) -> list[int]:
+    """t_v = 1 + the run of present reverse arcs ending at v - 1, capped at n.
+
+    One lap of the mask seeds the run that wraps into vertex 1; a second lap
+    emits the counts, so the whole vector takes O(n).
+    """
+    n = len(mask)
+    run = 0
+    for present in mask:
+        run = run + 1 if present else 0
+    counts = []
+    for present in mask:
+        counts.append(min(run + 1, n))
+        run = run + 1 if present else 0
+    return counts
+
+
+def _certify_counts(g: RingDigraph, counts: Sequence[int]) -> None:
+    """Prove ``counts`` are the matrix-tree counts of g, in O(n), or raise.
+
+    Reads the Laplacian's nonzeros from the arc list, at most three per row
+    and per column, and never the mask runs the closed form used.  (a) t^T L
+    = 0 column by column.  (b) t at vertex 1 equals the principal minor
+    there: without vertex 1, the vertices 2..n in cyclic order form a
+    tridiagonal matrix, whose determinant is the continuant.  The forward
+    cycle makes every ring digraph strongly connected, so the left kernel
+    of L is one-dimensional and (a) and (b) together pin t down.
+    """
+    n = g.n
+    diag = [0] * (n + 1)
+    up = [0] * (n + 1)  # up[u] = L[u][u+1]
+    down = [0] * (n + 1)  # down[u] = L[u][u-1]
+    column = [0] * (n + 1)  # column[j] = (t^T L)_j
+    for u, v in arcs(g):
+        t = counts[u - 1]
+        diag[u] += 1
+        column[u] += t
+        column[v] -= t
+        if v == u + 1:
+            up[u] -= 1
+        elif v == u - 1:
+            down[u] -= 1
+        elif u != 1 and v != 1:
+            raise ArithmeticError(
+                f"arc ({u}, {v}) leaves the minor at vertex 1 non-tridiagonal")
+    for j in range(1, n + 1):
+        if column[j] != 0:
+            raise ArithmeticError(f"tree counts fail t^T L = 0 in column {j - 1}")
+    prev, cur = 1, diag[2]
+    for b in range(3, n + 1):
+        prev, cur = cur, diag[b] * cur - up[b - 1] * down[b] * prev
+    if counts[0] != cur:
+        raise ArithmeticError(
+            f"tree count {counts[0]} at vertex 1 != its principal minor {cur}")
+
+
+def tree_counts(g: RingDigraph) -> ArborescenceCount:
+    """Every per-root converging-tree count of g from the closed form, certified.
+
+    O(n) in time and memory: the counts come from two laps of the mask and
+    are checked against the Laplacian's nonzeros (t^T L = 0 and the principal
+    minor at vertex 1) before they are returned; a failed check raises
+    ArithmeticError.
+    """
+    counts = _closed_form_counts(g.reverse_mask)
+    _certify_counts(g, counts)
+    return ArborescenceCount(tuple(counts), sum(counts))
 
 
 def tree_count_formula(n: int, i: int) -> int:
@@ -255,7 +332,7 @@ def path_matrix_spectrum(n: int) -> tuple[IntPolynomial, list[float]]:
 
 def count_record(g: RingDigraph) -> dict:
     """JSON-ready per-root and total counts for one ring digraph."""
-    counts = count_by_cofactor(laplacian(g))
+    counts = tree_counts(g)
     return {
         "n": g.n,
         "mask": g.mask_string(),

@@ -17,10 +17,11 @@ from ringspec.arborescence import (
     path_laplacian,
     path_matrix_spectrum,
     tree_count_formula,
+    tree_counts,
     trig_product_check,
 )
 from ringspec.polycore import z_poly
-from ringspec.ringgraph import RingDigraph, classify_exact, laplacian
+from ringspec.ringgraph import RingDigraph, arcs, classify_exact, laplacian
 from ringspec.rootfind import RootFinderConfig, aberth_roots, refine_all
 from support import exact_abs_at, match_multisets
 
@@ -201,6 +202,64 @@ class TestOneSolve:
     def test_single_vertex_and_empty_matrix(self):
         assert count_by_cofactor([[0]]) == ArborescenceCount((1,), 1)
         assert count_by_cofactor([]) == ArborescenceCount((), 0)
+
+
+def every_mask(n):
+    for bits in range(2 ** n):
+        yield RingDigraph(n, tuple(bool((bits >> j) & 1) for j in range(n)))
+
+
+class TestTreeCounts:
+    def test_equals_the_oracle_on_every_mask_to_twelve(self):
+        checked = 0
+        for n in range(3, 13):
+            for g in every_mask(n):
+                assert tree_counts(g) == count_by_cofactor(laplacian(g)), g.mask_string()
+                checked += 1
+        assert checked == 8184
+
+    def test_equals_the_oracle_at_forty_to_three_hundred(self):
+        rng = random.Random(20)
+        for n in (40, 120, 300):
+            masks = [(True,) * n, (False,) * n]
+            masks += [tuple(rng.random() < p for _ in range(n)) for p in (0.5, 0.9)]
+            for mask in masks:
+                g = RingDigraph(n, mask)
+                assert tree_counts(g) == count_by_cofactor(laplacian(g)), g.mask_string()
+
+    def test_every_two_gap_mask_to_sixty_matches_the_formula(self):
+        for n in range(3, 61):
+            for a in range(1, n):
+                for b in range(a + 1, n + 1):
+                    mask = [True] * n
+                    mask[a - 1] = mask[b - 1] = False
+                    total = tree_counts(RingDigraph(n, mask)).total
+                    assert total == tree_count_formula(n, b - a), (n, a, b)
+
+    def test_a_count_off_the_left_kernel_raises(self, monkeypatch):
+        formula = arborescence._closed_form_counts
+
+        def off_by_one(mask):
+            counts = formula(mask)
+            counts[2] += 1
+            return counts
+
+        monkeypatch.setattr(arborescence, "_closed_form_counts", off_by_one)
+        with pytest.raises(ArithmeticError, match="t\\^T L = 0"):
+            tree_counts(two_gap_digraph(6, 2))
+
+    def test_a_multiple_of_the_counts_fails_the_minor(self, monkeypatch):
+        formula = arborescence._closed_form_counts
+        monkeypatch.setattr(arborescence, "_closed_form_counts",
+                            lambda mask: [2 * t for t in formula(mask)])
+        with pytest.raises(ArithmeticError, match="principal minor"):
+            tree_counts(two_gap_digraph(6, 2))
+
+    def test_a_chord_off_the_ring_is_refused(self, monkeypatch):
+        # the continuant is the minor only while the minor is tridiagonal
+        monkeypatch.setattr(arborescence, "arcs", lambda g: arcs(g) + [(2, 4)])
+        with pytest.raises(ArithmeticError, match="tridiagonal"):
+            tree_counts(RingDigraph(6, (True,) * 6))
 
 
 class TestClosedForm:

@@ -6,13 +6,15 @@ import importlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 import ringspec
-from ringspec import cli, ringgraph
+from ringspec import arborescence, cli, dynamics, ringgraph
 from ringspec.cli import main
 from ringspec.polycore import IntPolynomial
 from ringspec.ringgraph import RingDigraph, closed_form_spectrum
@@ -268,6 +270,35 @@ class TestTrees:
         assert code == 2
         assert err.startswith("invalid input:")
         assert out == ""
+
+    def test_mask_counts_never_touch_the_dense_laplacian(self, capsys, monkeypatch):
+        # the closed form and its O(n) certificate answer; the Bareiss
+        # oracle and the dense matrix stay out of the command's path
+        def refuse(*args):
+            raise AssertionError("the trees command reached the cofactor route")
+
+        monkeypatch.setattr(arborescence, "count_by_cofactor", refuse)
+        monkeypatch.setattr(arborescence, "_bareiss_eliminate", refuse)
+        laplacian = ringgraph.laplacian
+        for module in (ringspec, ringgraph, cli, arborescence, dynamics):
+            if getattr(module, "laplacian", None) is laplacian:
+                monkeypatch.setattr(module, "laplacian", refuse)
+        code, out, _ = run(capsys, "trees", "8", "10110111")
+        assert code == 0
+        assert json.loads(out)["per_root"] == [4, 5, 1, 2, 3, 1, 2, 3]
+
+    def test_a_hundred_thousand_vertices(self, capsys):
+        n = 100_000
+        rng = random.Random(100)
+        start = time.perf_counter()
+        for mask, total in [("1" * n, n * n), ("0" * n, n), (
+                "".join(rng.choice("01") for _ in range(n)), None)]:
+            code, out, _ = run(capsys, "trees", str(n), mask)
+            assert code == 0
+            rec = json.loads(out)
+            assert len(rec["per_root"]) == n
+            assert rec["total"] == (sum(rec["per_root"]) if total is None else total)
+        assert time.perf_counter() - start < 5.0
 
 
 class TestWeighted:

@@ -128,6 +128,24 @@ class TestSimulate:
                 expected.append(x)
             assert np.abs(traj.states - np.array(expected)).max() <= 1e-12, (n, bits)
 
+    def test_in_place_steps_equal_the_allocating_loop(self):
+        # dominant_frequency reads the exact tail, so the in-place product
+        # must reproduce x <- P @ x bit for bit
+        for n, bits in [(3, 0), (4, 0b0101), (7, 0b1111111), (8, 0b10110010),
+                        (10, 0b1011011101)]:
+            mat = np.array(laplacian(RingDigraph(n, tuple(bool(bits >> j & 1)
+                                                        for j in range(n)))), dtype=float)
+            cfg = SimConfig(step=0.02, horizon=30.0, seed=bits)
+            traj = simulate(mat, cfg)
+            a, eye = -cfg.step * mat, np.eye(n)
+            prop = eye + a @ (eye + a @ (eye / 2 + a @ (eye / 6 + a / 24)))
+            x = traj.states[0]
+            expected = [x]
+            for _ in range(len(traj.times) - 1):
+                x = prop @ x
+                expected.append(x)
+            assert np.array_equal(traj.states, np.array(expected)), (n, bits)
+
 
 def _crossing_frequency_loop(traj: Trajectory) -> float | None:
     """The per-sample zero-crossing estimate, written out as a loop."""
