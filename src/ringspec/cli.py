@@ -20,13 +20,13 @@ import numpy as np
 from . import arborescence, dynamics, weighted
 from .ringgraph import (
     RingDigraph,
-    char_poly,
     classification_record,
     closed_form_spectrum,
     exhaustive_scan,
     laplacian,
+    spectrum_numeric,
 )
-from .rootfind import aberth_roots, char_poly_exact, spectral_verdict
+from .rootfind import char_poly_exact, spectral_verdict
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -63,11 +63,10 @@ def _cmd_spectrum(args) -> int:
         spec = closed_form_spectrum(g)
         out["closed_form"] = None if spec is None else [[z.real, z.imag] for z in spec]
     if args.method in ("numeric", "both"):
-        poly = char_poly(g)
-        rs = aberth_roots(poly)
+        rs = spectrum_numeric(g)
         out["numeric"] = rs.to_json()
         out["numeric_converged"] = rs.converged
-        out["char_poly"] = poly.to_json()
+        out["char_poly"] = [str(c) for c in rs.source]
     _emit(out, args.json)
     return EXIT_OK
 
@@ -138,12 +137,12 @@ def _cmd_weighted_k3(args) -> int:
     disc = weighted.k3_discriminant(wm)
     try:
         rounded = float(disc)
-    except OverflowError:
-        raise ValueError("the discriminant overflows double precision") from None
+    except OverflowError:  # the verdicts are exact all the same
+        rounded = None
     scaled = weighted.integer_scaled(weighted.weighted_laplacian(wm))
     payload = {
         "weights": [list(r) for r in wm.w],
-        # the exact value, rounded once
+        # the exact value, rounded once; null past double range
         "discriminant": rounded,
         "triangle_criterion": weighted.k3_classify(wm),
         "essentially_cyclic": disc < 0,

@@ -15,11 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ringgraph import RingDigraph, char_poly, classify_exact, laplacian
-from .rootfind import IMAG_THRESHOLD, aberth_roots
+from .ringgraph import RingDigraph, classify_exact, laplacian
 
 #: step * (spectral-radius bound) must stay below this for the explicit scheme.
 STABILITY_MARGIN = 0.1
+#: |Im| above which :func:`oscillation_report` takes an eigenvalue for non-real.
+IMAG_THRESHOLD = 1e-6
+#: |y| at or below this times max|y| is rounding noise to :func:`dominant_frequency`.
+NOISE_FLOOR = 100 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,9 @@ def simulate(laplacian_matrix, cfg: SimConfig) -> Trajectory:
 def dominant_frequency(traj: Trajectory) -> float | None:
     """Angular frequency from zero-crossing spacing of the detrended observable.
 
-    Detrending subtracts the final value.  With fewer than 3 sign changes
+    Detrending subtracts the final value.  A sign change counts only where
+    |y| on both samples exceeds ``NOISE_FLOOR`` * max|y|: below that it is
+    rounding noise, not oscillation.  With fewer than 3 counted sign changes
     there is no oscillation to speak of and the result is None.  An
     observable that overflows double precision (a finite state whose x_1 - x_2
     does not fit) raises ValueError.
@@ -115,8 +120,10 @@ def dominant_frequency(traj: Trajectory) -> float | None:
         raise ValueError("the observable x_1 - x_2 overflows double precision")
     y = traj.observable - traj.observable[-1]
     t = traj.times
+    magnitude = np.abs(y)
+    counted = magnitude > NOISE_FLOOR * magnitude.max(initial=0.0)
     y0, y1 = y[:-1], y[1:]
-    i = np.flatnonzero((y0 != 0.0) & (y1 != 0.0) & ((y0 > 0) != (y1 > 0)))
+    i = np.flatnonzero(counted[:-1] & counted[1:] & ((y0 > 0) != (y1 > 0)))
     # linear interpolation of the crossing times
     crossings = t[i] + y0[i] / (y0[i] - y1[i]) * (t[i + 1] - t[i])
     if len(crossings) < 3:
@@ -129,19 +136,20 @@ def oscillation_report(g: RingDigraph, cfg: SimConfig = SimConfig()) -> dict:
     """Predicted vs measured oscillation for one ring digraph.
 
     Bundles the exact cyclicity verdict, the slowest-decaying conjugate pair
-    of the numeric spectrum (among the roots with imaginary part above the
-    root finder's ``IMAG_THRESHOLD``, the one with the smallest real part),
-    the measured dominant frequency of a simulation started at e_1, and
-    their relative deviation.
+    of ``numpy.linalg.eigvals`` of the Laplacian the simulation integrates
+    (above ``IMAG_THRESHOLD`` in Im, the smallest real part), the measured
+    dominant frequency of a simulation started at e_1, and their relative
+    deviation.
     """
     cls = classify_exact(g)
-    pair = min((z for z in aberth_roots(char_poly(g)).roots if z.imag > IMAG_THRESHOLD),
+    mat = np.array(laplacian(g), dtype=np.float64)
+    pair = min((complex(z) for z in np.linalg.eigvals(mat) if z.imag > IMAG_THRESHOLD),
                key=lambda z: (z.real, -z.imag), default=None)
     sim_cfg = cfg
     if cfg.initial_state is None:
         e1 = tuple([1.0] + [0.0] * (g.n - 1))
         sim_cfg = SimConfig(step=cfg.step, horizon=cfg.horizon, initial_state=e1)
-    traj = simulate(laplacian(g), sim_cfg)
+    traj = simulate(mat, sim_cfg)
     measured = dominant_frequency(traj)
     predicted = abs(pair.imag) if pair is not None else None
     deviation = None

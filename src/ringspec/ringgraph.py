@@ -192,8 +192,10 @@ def classify_exact(g: RingDigraph) -> Classification:
 
 
 def spectrum_numeric(g: RingDigraph, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSet:
-    """Numeric Laplacian spectrum: root-find the exact characteristic polynomial."""
-    return rootfind.aberth_roots(char_poly(g), cfg)
+    """Numeric Laplacian spectrum: the program's one root-finder call, on the
+    matrix's own polynomial :func:`ringspec.rootfind.char_poly_exact` of
+    :func:`laplacian` (the result's ``source``), never the gap product."""
+    return rootfind.aberth_roots(rootfind.char_poly_exact(laplacian(g)), cfg)
 
 
 def classification_record(g: RingDigraph) -> dict:

@@ -56,9 +56,6 @@ from .polycore import IntPolynomial
 CONVERGENCE_TOL = 1e-13
 #: Sweeps :func:`aberth_roots` runs before it reports ``converged=False``.
 MAX_ITERATIONS = 500
-#: |Im| above this makes a root of a :class:`ComplexRootSet` non-real where a
-#: caller picks roots from one (:func:`ringspec.dynamics.oscillation_report`).
-IMAG_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)

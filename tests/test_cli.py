@@ -14,10 +14,11 @@ import time
 import pytest
 
 import ringspec
-from ringspec import arborescence, cli, dynamics, ringgraph
+from ringspec import arborescence, cli, dynamics, polycore, ringgraph
 from ringspec.cli import main
 from ringspec.polycore import IntPolynomial
-from ringspec.ringgraph import RingDigraph, closed_form_spectrum
+from ringspec.ringgraph import RingDigraph, closed_form_spectrum, laplacian
+from ringspec.rootfind import char_poly_exact
 from support import match_multisets
 
 
@@ -28,7 +29,7 @@ def run(capsys, *argv):
 
 
 def count_char_poly(monkeypatch) -> list:
-    """Record every graph the CLI builds a gap product for."""
+    """Record every graph the CLI builds a gap product for (only ringgraph does)."""
     calls = []
     char_poly = ringgraph.char_poly
 
@@ -37,8 +38,17 @@ def count_char_poly(monkeypatch) -> list:
         return char_poly(g)
 
     monkeypatch.setattr(ringgraph, "char_poly", counting)
-    monkeypatch.setattr(cli, "char_poly", counting)
     return calls
+
+
+def unavailable_gap_product(monkeypatch) -> None:
+    """Make every name bound to the gap product or its polynomial product raise."""
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the numeric route called the gap product")
+
+    # replacing the code objects catches every name bound to these functions
+    for fn in (ringgraph.char_poly, polycore.poly_product):
+        monkeypatch.setattr(fn, "__code__", unavailable.__code__)
 
 
 def subprocess_env() -> dict:
@@ -204,12 +214,27 @@ class TestSpectrum:
         g = RingDigraph.from_mask_string(len(mask), mask)
         match_multisets(closed_form_spectrum(g), [complex(*z) for z in rec["numeric"]], 1e-9)
 
-    def test_both_methods_build_the_gap_product_once(self, capsys, monkeypatch):
+    def test_both_methods_build_no_gap_product(self, capsys, monkeypatch):
+        # the numeric spectrum solves the matrix's own polynomial
         calls = count_char_poly(monkeypatch)
         code, out, _ = run(capsys, "spectrum", "12", "011011011011", "--method", "both")
         assert code == 0
-        assert len(calls) == 1
-        assert json.loads(out)["char_poly"] == ringgraph.char_poly(calls[0]).to_json()
+        assert calls == []
+        g = RingDigraph.from_mask_string(12, "011011011011")
+        assert json.loads(out)["char_poly"] == char_poly_exact(laplacian(g)).to_json()
+
+    @pytest.mark.parametrize("method", ["numeric", "both"])
+    def test_numeric_route_never_calls_the_gap_product(self, capsys, monkeypatch, method):
+        masks = ["0000", "1111", "0110", "011011011011", "0" + "1" * 19]
+        expected = [char_poly_exact(laplacian(RingDigraph.from_mask_string(len(m), m)))
+                    for m in masks]
+        unavailable_gap_product(monkeypatch)
+        for mask, poly in zip(masks, expected):
+            code, out, err = run(capsys, "spectrum", str(len(mask)), mask, "--method", method)
+            assert code == 0, err
+            rec = json.loads(out)
+            assert rec["char_poly"] == poly.to_json()
+            assert len(rec["numeric"]) == len(mask)
 
     def test_exact_only_absent_for_split_gaps(self, capsys):
         code, out, _ = run(capsys, "spectrum", "4", "0110", "--method", "exact")
@@ -353,6 +378,21 @@ class TestWeighted:
         assert [rec[k] for k in ("essentially_cyclic", "triangle_criterion",
                                  "numeric_essentially_cyclic")] == [True] * 3
 
+    def test_k3_discriminant_past_double_range_prints_null(self, capsys):
+        # the discriminant is near -3e400; the three verdicts are exact
+        code, out, err = run(capsys, "weighted", "k3", "--weights",
+                             "[1e200,1e200,1e200,0,0,0]")
+        rec = json.loads(out)
+        assert code == 0, err
+        assert rec["discriminant"] is None
+        assert [rec[k] for k in ("essentially_cyclic", "triangle_criterion",
+                                 "numeric_essentially_cyclic")] == [True] * 3
+        # weights whose Laplacian rows overflow are still refused
+        code, out, err = run(capsys, "weighted", "k3", "--weights",
+                             "[1e308,1e308,1e308,0,0,0]")
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid input: Laplacian row 0 overflows")
+
     def test_k3_three_numbers_name_the_accepted_shapes(self, capsys):
         code, out, err = run(capsys, "weighted", "k3", "--weights", "[1,2,3]")
         assert code == 2 and out == ""
@@ -421,6 +461,31 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "4", "1111", "--step", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("mask", [
+        "0" + "1" * 22, "0" + "1" * 29, "0" + "1" * 39,  # single gap
+        "0" + "1" * 10 + "0" + "1" * 10,  # balanced pair, gaps (11, 11)
+        "1" * 43,  # symmetric ring
+    ])
+    def test_report_of_a_real_spectrum_predicts_no_oscillation(self, capsys, mask):
+        # double Aberth on the gap product invented a conjugate pair here
+        code, out, err = run(capsys, "simulate", str(len(mask)), mask, "--report")
+        assert code == 0, err
+        rec = json.loads(out)
+        assert rec["essentially_cyclic"] is False
+        assert rec["slowest_pair"] is None
+        assert rec["predicted_frequency"] is None
+        assert rec["relative_deviation"] is None
+
+    def test_report_never_calls_the_gap_product(self, capsys, monkeypatch):
+        unavailable_gap_product(monkeypatch)
+        for mask, cyclic in [("0000", True), ("0110", True), ("1" * 12, False),
+                             ("0" + "1" * 22, False), ("011011011011", True)]:
+            code, out, err = run(capsys, "simulate", str(len(mask)), mask, "--report")
+            assert code == 0, err
+            rec = json.loads(out)
+            assert rec["essentially_cyclic"] is cyclic
+            assert (rec["slowest_pair"] is not None) is cyclic
+
 
 @pytest.mark.parametrize("argv", [
     ("weighted", "k3", "--weights", "[1,2,3]"),
@@ -435,8 +500,8 @@ class TestSimulate:
     ("weighted", "chorded-c4", "--p", "0"),
     ("weighted", "c4", "--a-max", "1e300", "--steps", "2"),
     ("weighted", "k3", "--weights", "[1e308,1e308,1e308,0,0,0]"),
-    # a discriminant near -3e400, beyond double range
-    ("weighted", "k3", "--weights", "[1e200,1e200,1e200,0,0,0]"),
+    # a negative weight among weights whose discriminant passes double range
+    ("weighted", "k3", "--weights", "[1e200,1e200,1e200,0,0,-1e200]"),
     ("simulate", "3", "000", "--x0", "1e308,-1e308,0", "--report"),
     ("weighted", "k3", "--weights", "[1,2,3,0,0,true]"),
     ("weighted", "k3", "--weights", "[[0,1,2],[1,0,1],[1,1,false]]"),

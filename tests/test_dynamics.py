@@ -147,15 +147,21 @@ class TestSimulate:
             assert np.array_equal(traj.states, np.array(expected)), (n, bits)
 
 
-def _crossing_frequency_loop(traj: Trajectory) -> float | None:
-    """The per-sample zero-crossing estimate, written out as a loop."""
+def _crossing_frequency_loop(traj: Trajectory,
+                             relative_floor: float = 100 * sys.float_info.epsilon) -> float | None:
+    """The per-sample zero-crossing estimate, written out as a loop.
+
+    A crossing counts where |y| on both samples exceeds relative_floor * max|y|;
+    relative_floor = 0 counts every sign change between nonzero samples.
+    """
     y = traj.observable - traj.observable[-1]
     t = traj.times
+    floor = relative_floor * max(abs(v) for v in y)
     crossings = []
     for i in range(len(y) - 1):
-        if y[i] == 0.0:
+        if abs(y[i]) <= floor:
             continue
-        if (y[i] > 0) != (y[i + 1] > 0) and y[i + 1] != 0.0:
+        if (y[i] > 0) != (y[i + 1] > 0) and abs(y[i + 1]) > floor:
             frac = y[i] / (y[i] - y[i + 1])
             crossings.append(t[i] + frac * (t[i + 1] - t[i]))
     if len(crossings) < 3:
@@ -204,6 +210,27 @@ class TestDominantFrequency:
         with pytest.raises(ValueError, match="overflows"):
             dominant_frequency(traj)
 
+    def test_rounding_noise_crossings_are_not_counted(self):
+        # a damped cosine that decays into noise of amplitude 1e-17: the
+        # noise's sign changes are no oscillation
+        t = np.arange(0, 30.0, 0.02)
+        noise = 1e-17 * np.random.default_rng(0).standard_normal(len(t))
+        y = np.exp(-2.0 * t) * np.cos(2.0 * t) + noise
+        freq = dominant_frequency(Trajectory(t, np.zeros((len(t), 1)), y))
+        assert freq == pytest.approx(2.0, rel=0.02)
+
+    def test_small_rings_drop_their_noise_crossings(self):
+        # every mask with n = 3..10 whose report simulation (e_1 start, the
+        # default step and horizon) has a sign change at rounding-noise
+        # amplitude; the report measured that crossing too
+        for mask in ["000", "0000", "0001", "0010", "0011", "0100", "1000", "1100",
+                     "00111", "01110", "10010", "10011", "10100", "11001", "11100"]:
+            g = RingDigraph.from_mask_string(len(mask), mask)
+            traj = simulate(laplacian(g), SimConfig(initial_state=(1.0,) + (0.0,) * (g.n - 1)))
+            expected = _crossing_frequency_loop(traj)
+            assert expected != _crossing_frequency_loop(traj, relative_floor=0.0), mask
+            assert oscillation_report(g)["measured_frequency"] == expected, mask
+
     def test_symmetric_ring_has_no_frequency(self):
         for n in (4, 7):
             g = RingDigraph(n, (True,) * n)
@@ -220,12 +247,31 @@ class TestOscillationReport:
         assert rep["measured_frequency"] == pytest.approx(1.0, rel=0.05)
         assert rep["relative_deviation"] < 0.05
 
+    def test_bare_cycles(self):
+        for n in range(3, 11):
+            rep = oscillation_report(RingDigraph(n, (False,) * n))
+            target = math.sin(2 * math.pi / n)
+            assert rep["predicted_frequency"] == pytest.approx(target, abs=1e-12), n
+            assert rep["measured_frequency"] == pytest.approx(target, rel=0.04), n
+
     def test_balanced_two_gap_has_no_oscillation(self):
         g = RingDigraph.from_mask_string(4, "1010")
         rep = oscillation_report(g, SimConfig(step=0.02, horizon=30.0))
         assert rep["essentially_cyclic"] is False
         assert rep["predicted_frequency"] is None
         assert rep["measured_frequency"] is None
+
+    def test_real_families_report_no_pair(self):
+        # symmetric ring, single gap, and the balanced (even n) or
+        # near-balanced (odd n) pair, to n = 200; a short horizon, since
+        # the pair does not depend on the simulation
+        cfg = SimConfig(horizon=0.2)
+        for n in list(range(3, 200, 11)) + [157, 200]:
+            two_gaps = "0" + "1" * (n // 2 - 1) + "0" + "1" * (n - n // 2 - 1)
+            for mask in ("1" * n, "0" + "1" * (n - 1), two_gaps):
+                rep = oscillation_report(RingDigraph.from_mask_string(n, mask), cfg)
+                assert rep["essentially_cyclic"] is False, mask
+                assert rep["slowest_pair"] is None and rep["predicted_frequency"] is None, mask
 
     def test_split_two_gap_oscillates(self):
         g = RingDigraph.from_mask_string(4, "0110")  # gaps (1, 3)

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ringspec import rootfind
+from ringspec import dynamics, rootfind
 from ringspec.arborescence import path_matrix_spectrum
 from ringspec.polycore import IntPolynomial, poly_mul, poly_shift_const, z_poly
 from ringspec.ringgraph import (
@@ -83,7 +83,8 @@ class TestConfig:
     def test_defaults(self):
         assert rootfind.CONVERGENCE_TOL == 1e-13
         assert rootfind.MAX_ITERATIONS == 500
-        assert rootfind.IMAG_THRESHOLD == 1e-6
+        # the report's threshold lives with its only reader
+        assert dynamics.IMAG_THRESHOLD == 1e-6
         # the working precision is the one setting a caller chooses
         assert [f.name for f in dataclasses.fields(RootFinderConfig)] == ["working_dps"]
         assert CFG.working_dps is None
