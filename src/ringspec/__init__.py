@@ -6,8 +6,8 @@ completely real Laplacian spectrum, computes the spectra in closed form and
 numerically, analyzes small weighted variants, counts spanning converging
 trees, and demonstrates the link between non-real eigenvalues and oscillating
 consensus dynamics.  Every closed-form claim is cross-checked against an
-independent numeric pipeline (exact characteristic polynomials plus complex
-root finding).
+independent numeric pipeline (exact characteristic polynomials, matrix
+eigenvalues certified exactly against them, and Sturm counts).
 """
 
 from .polycore import (
@@ -41,7 +41,7 @@ from .ringgraph import (
 from .rootfind import (
     ComplexRootSet,
     RootFinderConfig,
-    aberth_roots,
+    certify_roots,
     char_poly_exact,
     char_poly_float,
     refine_all,
@@ -75,7 +75,7 @@ __all__ = [
     "spectrum_numeric",
     "ComplexRootSet",
     "RootFinderConfig",
-    "aberth_roots",
+    "certify_roots",
     "char_poly_exact",
     "char_poly_float",
     "refine_all",

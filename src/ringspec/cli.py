@@ -2,7 +2,8 @@
 
 Verdicts go to stdout as JSON, grids and trajectories as CSV with a declared
 header; diagnostics go to stderr.  Exit codes: 0 success, 1 a disagreement
-was found (``scan``, ``classify --numeric``), 2 invalid input.  The
+was found (``scan``, ``classify --numeric``) or a numeric spectrum could not
+be certified (``spectrum``), 2 invalid input.  The
 ``weighted`` verdicts are computed on the weights' exact rational values.
 """
 
@@ -66,8 +67,13 @@ def _cmd_spectrum(args) -> int:
         rs = spectrum_numeric(g)
         out["numeric"] = rs.to_json()
         out["numeric_converged"] = rs.converged
+        out["max_radius"] = rs.max_radius
         out["char_poly"] = [str(c) for c in rs.source]
     _emit(out, args.json)
+    if "numeric" in out and not out["numeric_converged"]:
+        print(f"numeric failure: no certified spectrum at n={g.n} mask={g.mask_string()}",
+              file=sys.stderr)
+        return EXIT_FAILURE
     return EXIT_OK
 
 

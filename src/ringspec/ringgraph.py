@@ -26,6 +26,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import rootfind
 from .polycore import (
     IntPolynomial,
@@ -192,10 +194,16 @@ def classify_exact(g: RingDigraph) -> Classification:
 
 
 def spectrum_numeric(g: RingDigraph, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSet:
-    """Numeric Laplacian spectrum: the program's one root-finder call, on the
-    matrix's own polynomial :func:`ringspec.rootfind.char_poly_exact` of
-    :func:`laplacian` (the result's ``source``), never the gap product."""
-    return rootfind.aberth_roots(rootfind.char_poly_exact(laplacian(g)), cfg)
+    """Numeric Laplacian spectrum from the matrix alone, certified exactly.
+
+    The approximations are ``numpy.linalg.eigvals`` of the float
+    :func:`laplacian`; :func:`ringspec.rootfind.certify_roots` proves them
+    against the matrix's own polynomial :func:`ringspec.rootfind.char_poly_exact`
+    (the result's ``source``), never the gap product.
+    """
+    mat = laplacian(g)
+    return rootfind.certify_roots(rootfind.char_poly_exact(mat),
+                                  np.linalg.eigvals(np.array(mat, dtype=float)), cfg)
 
 
 def classification_record(g: RingDigraph) -> dict:
@@ -230,7 +238,7 @@ def exhaustive_scan(n: int) -> dict:
     :func:`ringspec.rootfind.char_poly_exact` of :func:`laplacian`, runs once
     per (K, sorted gaps); it shares no code with the exact classifier.
     Returns the sorted mask strings of any disagreements and how many
-    decompositions were classified and multisets solved.  The ``ambiguous``
+    decompositions were classified and multisets checked.  The ``ambiguous``
     list is always empty: the Sturm count leaves no verdict open.
     """
     verdicts: dict[GapDecomposition, tuple[bool, bool]] = {}

@@ -1,34 +1,42 @@
-"""Independent numeric oracle: polynomial roots and exact characteristic polynomials.
+"""Independent numeric oracle: certified roots and exact characteristic polynomials.
 
 The package's closed-form spectral claims are all cross-checked against this
-module, which knows nothing about those closed forms: it finds roots by
-simultaneous (Aberth-Ehrlich) iteration and builds characteristic polynomials
-from the matrix entries alone, with its own arithmetic on plain lists: the
-transfer-matrix (periodic Jacobi) determinant for ring-shaped matrices, whose
-nonzeros lie on the three cyclic diagonals, and the Faddeev-LeVerrier trace
-recursion for every other matrix.
+module, which knows nothing about those closed forms.  It builds
+characteristic polynomials from the matrix entries alone, with its own
+arithmetic on plain lists: the transfer-matrix (periodic Jacobi) determinant
+for ring-shaped matrices, whose nonzeros lie on the three cyclic diagonals,
+and the Faddeev-LeVerrier trace recursion for every other matrix.
 
-One Aberth iteration serves both arithmetics, on one route: the exact
-square-free factorization of p (Yun's algorithm) splits it into factors whose
-roots are all simple, and each factor is solved from its own companion
-matrix's eigenvalues, in Python complex or, when the config sets a working
-precision in decimal digits, in fixed point: each iterate is two Python
-integers on a 2**-bits grid, and the sweep (:func:`_fixed_aberth`) computes
-on those integers directly, flooring every product and quotient to the grid
-and keeping every sum exact; :class:`_FixedComplex` only carries its starts
-and roots.  Double
-precision is enough for degrees up to roughly 12; beyond that the monomial
-basis becomes badly conditioned near the ends of the root interval
-(evaluation noise grows like 6**degree).  Every evaluation goes through one
-Horner pass that also bounds its own rounding noise, and the iteration stops
-a root at that noise floor.
-Roots are polished after the fact by :func:`_polish`, the only Newton polish:
-the same iteration from a single start, which is Newton's method, run in
-fixed point at 60 digits on the square-free part p / gcd(p, p')
+It reads no matrix to find roots.  :func:`certify_roots` takes approximations
+from its caller (the program passes the Laplacian's ``numpy.linalg.eigvals``)
+and proves them against the exact polynomial: the exact square-free
+factorization of p (Yun's algorithm) splits it into factors whose roots are
+all simple, each factor is evaluated exactly at each approximation rounded to
+a 2**-64 grid, by one Horner pass over the Gaussian integers, and Newton's
+inclusion discs d * |a / a'| that come out pairwise disjoint, as many per
+factor as its degree, hold one root each.  Each root is then reported one
+exact Newton step from its disc's centre.
+Roots are polished after the fact by :func:`_polish`, the only Newton polish,
+run in fixed point at 60 digits on the square-free part p / gcd(p, p')
 (:func:`square_free_part`), computed exactly.  It has the same roots as p,
 all simple, so Newton converges quadratically even where p has a double or
 triple root.  :func:`refine_all` polishes a whole root set with it, starting
-from the roots found in fixed point with all their digits.
+from the working-precision roots with all their digits.
+
+:func:`aberth_roots`, simultaneous Aberth-Ehrlich iteration in double or in
+fixed point, is no program path: it stays as the tests' oracle.  One Aberth
+iteration serves both arithmetics, on Yun's factors, each solved from its own
+companion matrix's eigenvalues: in Python complex or, when the config sets a
+working precision in decimal digits, in fixed point, where each iterate is
+two Python integers on a 2**-bits grid and the sweep (:func:`_fixed_aberth`)
+computes on those integers directly, flooring every product and quotient to
+the grid and keeping every sum exact; :class:`_FixedComplex` only carries its
+starts and roots.  Double precision is enough for degrees up to roughly 12;
+beyond that the monomial basis becomes badly conditioned near the ends of the
+root interval (evaluation noise grows like 6**degree).  Every evaluation goes
+through one Horner pass that also bounds its own rounding noise, and the
+iteration stops a root at that noise floor.  :func:`_polish` runs the same
+fixed-point iteration from a single start, which is Newton's method.
 
 Whether p has a non-real root at all is decided without any root:
 :func:`spectral_verdict` counts p's distinct real roots by Sturm's theorem,
@@ -76,9 +84,12 @@ class ComplexRootSet:
     roots: tuple[complex, ...]
     converged: bool
     source: tuple = field(default=(), repr=False)
-    #: the roots at the working precision that found them, as
-    #: :class:`_FixedComplex` (working-precision route only)
+    #: the roots at the working precision, as :class:`_FixedComplex`
+    #: (only when the config sets ``working_dps``)
     working: tuple = field(default=(), repr=False, compare=False)
+    #: the largest radius of a disc that :func:`certify_roots` proved to hold
+    #: exactly one root; None for an uncertified set
+    max_radius: float | None = None
 
     def to_json(self) -> list[list[float]]:
         return [[z.real, z.imag] for z in self.roots]
@@ -91,6 +102,139 @@ def _coefficients(p) -> tuple:
     if coeffs[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
     return tuple(coeffs)
+
+
+#: bits of the grid :func:`certify_roots` rounds each approximation to
+_DISC_BITS = 64
+
+
+def certify_roots(p, approximations, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSet:
+    """All roots of p, certified from approximations by exact Newton discs.
+
+    p splits into the factors a_k of :func:`_square_free_factors`, whose
+    roots are simple and are the roots of multiplicity k in p.  Each finite
+    approximation z is rounded down to the 2**-64 grid, and every a_k is
+    evaluated there exactly (:func:`_newton_disc`).  The disc of radius
+    d * |a_k(z) / a_k'(z)| about z, d = deg a_k, holds a root of a_k, since
+    |a'/a| = |sum_j 1 / (z - r_j)| <= d / min_j |z - r_j|.  The approximation
+    goes to the factor where its disc is smallest.  A factor takes its discs
+    smallest first, and a disc that overlaps one already taken joins the
+    cluster of the first such disc; the taken discs are pairwise disjoint.
+    When a_k takes exactly d discs, each holds exactly one root of a_k.  When
+    moreover every cluster of a_k holds exactly k approximations, the set is
+    certified: each root is listed k times at one exact Newton step from its
+    disc's centre, a point inside the disc.  With ``cfg.working_dps`` the
+    step is also kept in ``working``, on the grid of :func:`_fixed_point` for
+    that precision, for :func:`refine_all` to polish.  ``max_radius`` is the
+    largest disc taken.  Any other count leaves ``converged=False``, the
+    approximations as the roots and no radius.  Nothing here reads a matrix.
+    """
+    coeffs = _coefficients(p)
+    factors = _square_free_factors(coeffs)
+    taken: list[list[_Disc]] = [[] for _ in factors]
+    seen: dict[tuple[int, int], list[_Disc]] = {}
+    for z in approximations:
+        if not cmath.isfinite(z):
+            continue
+        point = _FixedComplex.of(z, _DISC_BITS)
+        # the factors are real: a conjugate point has the conjugate discs
+        mirror = seen.get((point.re, -point.im))
+        discs = seen[point.re, point.im] = (
+            [disc.conjugate() for disc in mirror] if mirror
+            else [_newton_disc(a, point.re, point.im) for a, _ in factors])
+        best = min(range(len(discs)), key=lambda i: discs[i].radius)
+        taken[best].append(discs[best])
+    dps = cfg.working_dps
+    roots, working, radius = [], [], 0
+    for (a, multiplicity), discs in zip(factors, taken):
+        kept: list[_Disc] = []
+        members: list[int] = []
+        for disc in sorted(discs, key=lambda disc: disc.radius):
+            owner = next((i for i, other in enumerate(kept) if disc.overlaps(other)), None)
+            if owner is None:
+                kept.append(disc)
+                members.append(1)
+            else:
+                members[owner] += 1
+        if len(kept) != len(a) - 1 or any(m != multiplicity for m in members):
+            return ComplexRootSet(tuple(map(complex, approximations)), False, coeffs)
+        bits = None if dps is None else _grid_bits(a, dps)
+        for disc in kept:
+            step = disc.newton_step(bits)
+            roots += [complex(step)] * multiplicity
+            working += [step] * multiplicity
+            radius = max(radius, disc.radius)
+    return ComplexRootSet(tuple(roots), True, coeffs, () if dps is None else tuple(working),
+                          _scaled_down(radius, _DISC_BITS))
+
+
+@dataclass(frozen=True)
+class _Disc:
+    """A Newton disc on the 2**-64 grid, with what its Newton step needs.
+
+    The centre is z = (x + i y) * 2**-64 and ``radius`` bounds
+    d * |a(z) / a'(z)| from above in units of 2**-64 (inf where a'(z) = 0).
+    ``value`` and ``slope`` are D**d a(z) and D**(d-1) a'(z), D = 2**64, as
+    (real, imaginary) integer pairs.
+    """
+
+    x: int
+    y: int
+    radius: int | float
+    value: tuple[int, int]
+    slope: tuple[int, int]
+
+    def overlaps(self, other: "_Disc") -> bool:
+        """Whether the two closed discs meet, decided exactly."""
+        reach = self.radius + other.radius
+        dx, dy = self.x - other.x, self.y - other.y
+        return abs(dx) <= reach and dx * dx + dy * dy <= reach * reach
+
+    def conjugate(self) -> "_Disc":
+        """The same disc of the same real polynomial at the conjugate point."""
+        (pr, pi), (qr, qi) = self.value, self.slope
+        return _Disc(self.x, -self.y, self.radius, (pr, -pi), (qr, -qi))
+
+    def newton_step(self, bits: int | None):
+        """z - a(z) / a'(z): floored to a 2**-bits :class:`_FixedComplex`, or
+        correctly rounded to a ``complex`` when ``bits`` is None."""
+        (pr, pi), (qr, qi) = self.value, self.slope
+        norm = qr * qr + qi * qi
+        # z - a/a' = (Z |A'|^2 - A conj(A')) / (D |A'|^2) with Z = x + i y
+        re = self.x * norm - (pr * qr + pi * qi)
+        im = self.y * norm - (pi * qr - pr * qi)
+        den = norm << _DISC_BITS
+        if bits is None:
+            return complex(re / den, im / den)
+        return _FixedComplex((re << bits) // den, (im << bits) // den, bits)
+
+
+def _newton_disc(a: list[int], x: int, y: int) -> _Disc:
+    """The Newton disc of the integer polynomial a at (x + i y) * 2**-64.
+
+    One homogeneous Horner pass over the Gaussian integers: with Z = x + i y
+    and D = 2**64, P_m = Z P_(m-1) + a_(d-m) D**m and Q_m = Z Q_(m-1) +
+    P_(m-1) end in P_d = D**d a(z) and Q_d = D**(d-1) a'(z), exactly.  The
+    radius d |a / a'| is d |P_d| / |Q_d| in grid units, rounded up to an
+    integer by an exact integer square root.
+    """
+    d = len(a) - 1
+    pr, pi, qr, qi = a[-1], 0, 0, 0
+    if y:
+        for m in range(1, d + 1):
+            qr, qi = qr * x - qi * y + pr, qr * y + qi * x + pi
+            pr, pi = pr * x - pi * y + (a[d - m] << (_DISC_BITS * m)), pr * y + pi * x
+    else:  # a real point leaves every imaginary part 0
+        for m in range(1, d + 1):
+            qr, pr = qr * x + pr, pr * x + (a[d - m] << (_DISC_BITS * m))
+    norm = qr * qr + qi * qi
+    if not norm:
+        return _Disc(x, y, math.inf, (pr, pi), (qr, qi))
+    square = -(-(d * d) * (pr * pr + pi * pi) // norm)  # ceil(d**2 |P|**2 / |Q|**2)
+    radius = math.isqrt(square)
+    if radius * radius < square:
+        radius += 1
+    return _Disc(x, y, radius, (pr, pi), (qr, qi))
 
 
 def _horner(cs: Sequence, z):
@@ -129,6 +273,8 @@ def _is_noise(pv, pbar, deg: int, eps) -> bool:
 def aberth_roots(p, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSet:
     """All complex roots of p by simultaneous Aberth-Ehrlich iteration.
 
+    The tests' oracle: no program path calls it (:func:`certify_roots` is the
+    program's route to roots).
     Each factor of :func:`_square_free_factors` is solved from its own
     starting points and each of its roots repeated by its multiplicity, so
     the iteration only ever meets simple roots (on a repeated root Aberth
@@ -254,12 +400,17 @@ def _fixed_point(coeffs, starts, dps: int):
     share it.
     """
     ints = _integer_coefficients(coeffs)[1]
-    low = next(c for c in ints if c)
-    top = max(map(abs, ints[ints.index(low) + 1:]), default=0)
-    bits = (math.ceil(dps * math.log2(10)) + _GUARD_BITS
-            + max(0, top.bit_length() - abs(low).bit_length()) + 2)
+    bits = _grid_bits(ints, dps)
     terms = [(c << bits, _scaled_down(abs(c), 0)) for c in reversed(ints)]
     return terms, [_FixedComplex.of(z, bits) for z in starts], bits
+
+
+def _grid_bits(ints: list[int], dps: int) -> int:
+    """The bits of :func:`_fixed_point`'s grid for integer coefficients ``ints``."""
+    low = next(c for c in ints if c)
+    top = max(map(abs, ints[ints.index(low) + 1:]), default=0)
+    return (math.ceil(dps * math.log2(10)) + _GUARD_BITS
+            + max(0, top.bit_length() - abs(low).bit_length()) + 2)
 
 
 #: the smallest start nudge, relative to max(1, |z|): enough to leave the real

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import ringspec
@@ -19,7 +20,7 @@ from ringspec.cli import main
 from ringspec.polycore import IntPolynomial
 from ringspec.ringgraph import RingDigraph, closed_form_spectrum, laplacian
 from ringspec.rootfind import char_poly_exact
-from support import match_multisets
+from support import match_multisets, spectrum_tol
 
 
 def run(capsys, *argv):
@@ -202,8 +203,41 @@ class TestSpectrum:
         assert len(rec["closed_form"]) == 4
         assert len(rec["numeric"]) == 4
         assert rec["numeric_converged"] is True
+        assert 0 <= rec["max_radius"] < 1e-12
         # (x-1)^4 - 1 expanded, ascending, as decimal strings
         assert rec["char_poly"] == ["0", "-4", "6", "-4", "1"]
+
+    @pytest.mark.parametrize("mask", ["0" + "1" * 29, "0" + "1" * 39, "0" + "1" * 79,
+                                      "1" * 40, "1" * 80])
+    def test_numeric_spectrum_is_certified_at_large_n(self, capsys, mask):
+        # double Aberth on the monomial basis reported converged roots off by
+        # 0.57, 1.33 and 4.57 for the single gap at n = 30, 40 and 80
+        n = len(mask)
+        code, out, err = run(capsys, "spectrum", str(n), mask, "--method", "numeric")
+        rec = json.loads(out)
+        assert code == 0, err
+        assert rec["numeric_converged"] is True
+        assert 0 <= rec["max_radius"] < 1e-9
+        expected = closed_form_spectrum(RingDigraph.from_mask_string(n, mask))
+        match_multisets(expected, [complex(*z) for z in rec["numeric"]], spectrum_tol(expected))
+
+    @pytest.mark.parametrize("method", ["numeric", "both"])
+    def test_uncertified_spectrum_exits_1(self, capsys, monkeypatch, method):
+        eigvals = np.linalg.eigvals
+
+        def one_duplicated(mat):
+            values = eigvals(mat)
+            values[0] = values[1]
+            return values
+
+        monkeypatch.setattr(np.linalg, "eigvals", one_duplicated)
+        code, out, err = run(capsys, "spectrum", "12", "0" + "1" * 11, "--method", method)
+        assert code == 1
+        rec = json.loads(out)  # the record is still printed
+        assert rec["numeric_converged"] is False
+        assert rec["max_radius"] is None
+        assert len(rec["numeric"]) == 12
+        assert err.startswith("numeric failure:")
 
     @pytest.mark.parametrize("mask", ["1" * 12, "111111011111110"])
     def test_numeric_repeated_roots_match_the_closed_form(self, capsys, mask):

@@ -1,6 +1,7 @@
 """The modules of ringspec import only public names from one another, the
-package exports exactly the public names it imports, and the root finder has
-one entry point."""
+package exports exactly the public names it imports, no program path calls the
+Aberth oracle, and only the numeric spectrum and the oscillation report read
+eigenvalues."""
 
 from __future__ import annotations
 
@@ -20,17 +21,23 @@ def private_imports(source: str) -> list[str]:
             for alias in node.names if alias.name.startswith("_")]
 
 
+#: the only (module, top-level scope) pairs that may name ``eigvals``
+EIGVALS_SCOPES = {("ringgraph", "spectrum_numeric"), ("dynamics", "oscillation_report")}
+
+
 def layering_violations(source: str, module: str) -> list[str]:
     """``module.scope`` for each place that breaks the root finder's layering.
 
-    Only ``rootfind`` itself and ``ringgraph.spectrum_numeric`` may name
-    ``aberth_roots``; the package's ``__init__`` may re-export it.  The
-    consensus dynamics may not import from ``rootfind`` at all.
+    Only ``rootfind`` itself may name ``aberth_roots``, the tests' oracle: no
+    program path calls it and the package does not export it.  ``eigvals``
+    may be named only in ``ringgraph.spectrum_numeric`` and
+    ``dynamics.oscillation_report``, so never in ``polycore``, ``rootfind``
+    or the exact verdicts and records.  The consensus dynamics may not import
+    from ``rootfind`` at all.
     """
     found = []
     for node in ast.parse(source).body:
         scope = getattr(node, "name", "<module>")
-        allowed = module == "rootfind" or (module, scope) == ("ringgraph", "spectrum_numeric")
         for sub in ast.walk(node):
             names = {getattr(sub, "id", None), getattr(sub, "attr", None)}
             if isinstance(sub, ast.ImportFrom):
@@ -38,10 +45,10 @@ def layering_violations(source: str, module: str) -> list[str]:
                 if module == "dynamics" and sub.level > 0 and (
                         sub.module == "rootfind" or "rootfind" in names):
                     found.append(f"dynamics.{scope}: imports rootfind")
-                if module == "__init__":
-                    continue
-            if "aberth_roots" in names and not allowed:
+            if "aberth_roots" in names and module != "rootfind":
                 found.append(f"{module}.{scope}: aberth_roots")
+            if "eigvals" in names and (module, scope) not in EIGVALS_SCOPES:
+                found.append(f"{module}.{scope}: eigvals")
     return found
 
 
@@ -58,15 +65,33 @@ def test_the_check_sees_a_layering_violation():
     call = "(g):\n    return rootfind.aberth_roots(p)\n"
     assert layering_violations("def other" + call, "ringgraph") == [
         "ringgraph.other: aberth_roots"]
-    # the one entry point, and the package's re-export, pass
-    assert layering_violations("def spectrum_numeric" + call, "ringgraph") == []
-    assert layering_violations("from .rootfind import aberth_roots\n", "__init__") == []
+    # the numeric spectrum and the package's exports may not name it either
+    assert layering_violations("def spectrum_numeric" + call, "ringgraph") == [
+        "ringgraph.spectrum_numeric: aberth_roots"]
+    assert layering_violations("from .rootfind import aberth_roots\n", "__init__") == [
+        "__init__.<module>: aberth_roots"]
+    assert layering_violations("def oracle" + call, "rootfind") == []
+    eigvals = "(g):\n    return np.linalg.eigvals(m)\n"
+    assert layering_violations("def spectrum_numeric" + eigvals, "ringgraph") == []
+    assert layering_violations("def oscillation_report" + eigvals, "dynamics") == []
+    for module, scope in [("polycore", "poly_mul"), ("rootfind", "certify_roots"),
+                          ("ringgraph", "classify_exact"), ("ringgraph", "char_poly"),
+                          ("ringgraph", "classification_record"), ("dynamics", "simulate")]:
+        assert layering_violations(f"def {scope}" + eigvals, module) == [
+            f"{module}.{scope}: eigvals"]
+    assert layering_violations("from numpy.linalg import eigvals\n", "rootfind") == [
+        "rootfind.<module>: eigvals"]
 
 
 def test_the_root_finder_has_one_entry_point():
     found = {path.stem: layering_violations(path.read_text(), path.stem) for path in SOURCES}
-    assert {"cli", "dynamics", "ringgraph", "rootfind"} <= set(found)
+    assert {"cli", "dynamics", "polycore", "ringgraph", "rootfind"} <= set(found)
     assert {name: places for name, places in found.items() if places} == {}
+    # both places that may read eigenvalues do
+    for module, scope in EIGVALS_SCOPES:
+        source = (SOURCES[0].parent / f"{module}.py").read_text()
+        node = next(n for n in ast.parse(source).body if getattr(n, "name", None) == scope)
+        assert any(getattr(sub, "attr", None) == "eigvals" for sub in ast.walk(node))
 
 
 def test_the_check_sees_a_private_import():

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ringspec import polycore, ringgraph, rootfind
@@ -390,6 +391,76 @@ class TestNumericSpectrum:
                 base = rs.roots
             else:
                 match_multisets(base, rs.roots, 1e-9)
+
+
+def plant_eigvals(monkeypatch, plant) -> None:
+    """Make numpy.linalg.eigvals hand ``plant(values)`` on instead of its values."""
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda mat: plant(list(eigvals(mat))))
+
+
+class TestCertifiedSpectrum:
+    def test_every_mask_to_ten_certifies(self):
+        worst = 0.0
+        for n in range(3, 11):
+            for mask in all_masks(n):
+                g = RingDigraph(n, mask)
+                rs = spectrum_numeric(g)
+                assert rs.converged and len(rs.roots) == n, g.mask_string()
+                worst = max(worst, rs.max_radius)
+                expected = closed_form_spectrum(g)
+                if expected is not None:
+                    match_multisets(expected, rs.roots, spectrum_tol(expected))
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("mask", ["0" + "1" * 19, "0" * 12, "1111111011111110",
+                                      "001011011101"])
+    def test_a_duplicated_or_moved_eigenvalue_is_not_certified(self, monkeypatch, mask):
+        g = RingDigraph.from_mask_string(len(mask), mask)
+        assert spectrum_numeric(g).converged
+        for i in range(g.n):
+            def duplicated(values, i=i):
+                values[i] = values[i - 1]
+                return values
+
+            def moved(values, i=i):
+                values[i] += 0.1
+                return values
+
+            for plant in (duplicated, moved):
+                plant_eigvals(monkeypatch, plant)
+                rs = spectrum_numeric(g)
+                assert not rs.converged and rs.max_radius is None, (plant.__name__, i)
+                monkeypatch.undo()
+
+    def test_defective_doubles_given_as_simple_roots_are_not_certified(self, monkeypatch):
+        # gaps (7, 8): seven defective double eigenvalues, which eigvals splits
+        # by up to 3.4e-8; given once each, as if simple, they certify nothing
+        g = RingDigraph.from_mask_string(15, "111111011111110")
+        expected = closed_form_spectrum(g)
+        distinct = [z for i, z in enumerate(expected)
+                    if all(abs(z - w) > 1e-6 for w in expected[:i])]
+        assert len(distinct) == 8
+        rs = spectrum_numeric(g)
+        assert rs.converged and rs.max_radius > 1e-8
+        match_multisets(expected, rs.roots, 1e-9)
+        plant_eigvals(monkeypatch, lambda values: distinct)
+        assert not spectrum_numeric(g).converged
+        # padded back to 15 values with a copy of each simple eigenvalue, too
+        plant_eigvals(monkeypatch, lambda values: distinct + distinct[:7])
+        assert not spectrum_numeric(g).converged
+
+    def test_no_aberth_iteration(self, monkeypatch):
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the numeric spectrum ran the Aberth oracle")
+
+        for name in ("aberth_roots", "_aberth", "_fixed_aberth", "_companion_starts"):
+            monkeypatch.setattr(rootfind, name, unavailable)
+        monkeypatch.setattr(np, "roots", unavailable)
+        for mask in ("0" * 8, "1" * 9, "0" + "1" * 9, "0110", "001011011101"):
+            g = RingDigraph.from_mask_string(len(mask), mask)
+            for cfg in (CFG, RootFinderConfig(working_dps=40)):
+                assert spectrum_numeric(g, cfg).converged
 
 
 class TestScan:

@@ -399,6 +399,125 @@ class TestFixedPoint:
             match_multisets(_mpmath_route(p, 30 + n), refine_all(rs).roots, 1e-40)
 
 
+def _grid_distance(z, roots) -> float:
+    """Distance from a working root to the nearest of the given roots, exactly."""
+    zr, zi = Fraction(z.re, 1 << z.bits), Fraction(z.im, 1 << z.bits)
+    return min(math.hypot(float(zr - Fraction(r.real)), float(zi - Fraction(r.imag)))
+               for r in roots)
+
+
+class TestCertifyRoots:
+    def test_known_roots_with_multiplicities(self):
+        # Yun's factors: a_1 = (x^2 + 1)(x + 3), a_2 = 2x - 1, a_3 = x - 1
+        p = _expand([([-1, 1], 3), ([-1, 2], 2), ([1, 0, 1], 1), ([3, 1], 1)])
+        true = [1, 1, 1, 0.5, 0.5, 1j, -1j, -3]
+        rng = random.Random(3)
+        approx = [complex(r) + complex(rng.uniform(-1e-9, 1e-9), rng.uniform(-1e-9, 1e-9))
+                  for r in true]
+        approx[6] = approx[5].conjugate()  # its disc is the conjugate of the other's
+        rs = rootfind.certify_roots(p, approx, RootFinderConfig(working_dps=40))
+        assert rs.converged and rs.source == rootfind._coefficients(p)
+        assert 0 < rs.max_radius < 1e-7
+        match_multisets(true, rs.roots, 1e-15)
+        assert rs.roots == tuple(complex(z) for z in rs.working)
+        # one exact Newton step from 1e-9 off: exact on the linear factors,
+        # about 1e-18 off on the cubic
+        assert max(_grid_distance(z, [complex(r) for r in true]) for z in rs.working) < 1e-16
+        pair = [z for z in rs.working if abs(complex(z).imag) > 0.5]
+        # conjugates, up to the floor to the grid
+        assert len(pair) == 2 and pair[0].re == pair[1].re
+        assert abs(pair[0].im + pair[1].im) <= 1
+        assert rootfind.certify_roots(p, approx).working == ()
+
+    def test_newton_disc_is_exact(self):
+        # P = D**d a(z) and Q = D**(d-1) a'(z) at z = (x + i y) / D, D = 2**64,
+        # and the radius is the least integer >= d |P| / |Q|
+        rng = random.Random(8)
+        one = 1 << 64
+        cases = [([-1, 3], one // 3, 0)]  # 3z - 1 one grid step below 1/3: ratio 1/9
+        for trial in range(200):
+            a = [rng.randint(-50, 50) for _ in range(rng.randint(1, 9))] + [rng.randint(1, 5)]
+            cases.append((a, rng.randint(-3 * one, 3 * one),
+                          rng.choice([0, rng.randint(-3 * one, 3 * one)])))
+        for trial, (a, x, y) in enumerate(cases):
+            d = len(a) - 1
+            disc = rootfind._newton_disc(a, x, y)
+            zr, zi = Fraction(x, one), Fraction(y, one)
+            vr = vi = wr = wi = Fraction(0)
+            for c in reversed(a):
+                wr, wi = wr * zr - wi * zi + vr, wr * zi + wi * zr + vi
+                vr, vi = vr * zr - vi * zi + c, vr * zi + vi * zr
+            assert disc.value == (vr * one ** d, vi * one ** d), trial
+            assert disc.slope == (wr * one ** (d - 1), wi * one ** (d - 1)), trial
+            (pr, pi), (qr, qi) = disc.value, disc.slope
+            ratio = Fraction(d * d * (pr * pr + pi * pi), qr * qr + qi * qi)
+            assert disc.radius ** 2 >= ratio > (disc.radius - 1) ** 2 or ratio == disc.radius == 0
+        assert rootfind._newton_disc([-1, 3], one // 3, 0).radius == 1
+
+    def test_planted_bad_approximations_are_not_certified(self):
+        p = _monic_from_roots([1, 2, 3, 4, 5, 6])
+        good = [r + 1e-10 * (r % 3 - 1) for r in range(1, 7)]
+        assert rootfind.certify_roots(p, good).converged
+        planted = [good[:5] + [5.0],             # one root missing, another twice
+                   good[:5],                     # one missing
+                   good + [3.5],                 # one too many
+                   good[:5] + [complex(math.nan, 0)]]
+        for approx in planted:
+            rs = rootfind.certify_roots(p, approx, RootFinderConfig(working_dps=30))
+            assert not rs.converged, approx
+            assert len(rs.roots) == len(approx) and rs.roots[:5] == tuple(good[:5])
+            assert rs.max_radius is None and rs.working == ()
+        # an isolated root stays certified from 0.1 away, by a disc that wide
+        rs = rootfind.certify_roots(p, good[:5] + [6.1])
+        assert rs.converged and 0.1 <= rs.max_radius < 1
+        assert abs(max(rs.roots, key=abs) - 6) <= rs.max_radius
+        # (x - 1)^2 (x - 2): a double root needs two approximations
+        q = _monic_from_roots([1, 1, 2])
+        assert rootfind.certify_roots(q, [1.0 + 1e-8j, 1.0 - 1e-8j, 2.0]).converged
+        assert not rootfind.certify_roots(q, [1.0, 2.0, 2.0]).converged
+        assert not rootfind.certify_roots(q, [1.0, 2.0]).converged
+
+    def test_roots_closer_than_the_grid_are_not_certified(self):
+        # the polynomial of aberth_roots' fault F4: two roots near 1e-30
+        # round to one point of the 2**-64 grid, so their discs coincide
+        p = poly_mul(poly_mul(IntPolynomial([-1, 10 ** 30]), IntPolynomial([-3, 10 ** 30])),
+                     IntPolynomial([2, -3, 1]))
+        rs = rootfind.certify_roots(p, [1e-30, 3e-30, 1.0, 2.0])
+        assert not rs.converged and rs.max_radius is None
+
+    def test_certified_discs_hold_the_roots(self):
+        # random integer polynomials, some with repeated factors, from the
+        # companion matrix's eigenvalues: every certified root lies within
+        # twice the largest radius of a root mpmath finds
+        rng = random.Random(11)
+        certified = 0
+        for trial in range(150):
+            p = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
+                              + [rng.randint(1, 4)])
+            if rng.random() < 0.4:
+                p = poly_mul(p, poly_mul(p, IntPolynomial([rng.randint(-5, 5), 1])))
+            if p.coefficients[0] == 0:
+                continue
+            approx = np.roots([float(c) for c in reversed(p.coefficients)])
+            rs = rootfind.certify_roots(p, approx)
+            if not rs.converged:
+                continue
+            certified += 1
+            reference = [complex(r) for r in _polyroots(p)]
+            match_multisets(reference, rs.roots, 2 * rs.max_radius + 1e-13)
+        assert certified >= 100
+
+    def test_certified_spectra_polish_as_the_oracle_does(self):
+        for mask in CERTIFIED_MASKS:
+            n = len(mask)
+            cfg = RootFinderConfig(working_dps=30 + n)
+            rs = spectrum_numeric(RingDigraph.from_mask_string(n, mask), cfg)
+            assert rs.converged, mask
+            assert rs.roots == tuple(complex(z) for z in rs.working)
+            oracle = refine_all(aberth_roots(rs.source, cfg))
+            match_multisets(oracle.roots, refine_all(rs).roots, 1e-40)
+
+
 class TestRefinement:
     def test_sqrt_two(self):
         (value,) = _polished(IntPolynomial([-2, 0, 1]), [1.41421])
