@@ -15,7 +15,9 @@ all simple, each factor is evaluated exactly at each approximation rounded to
 a 2**-64 grid, by one Horner pass over the Gaussian integers, and Newton's
 inclusion discs d * |a / a'| that come out pairwise disjoint, as many per
 factor as its degree, hold one root each.  Each root is then reported one
-exact Newton step from its disc's centre.
+exact Newton step from its disc's centre.  Under a working precision a
+factor whose discs fail is refined by :func:`_fixed_aberth` sweeps and
+tried again on a 2**-128 grid (:func:`_refined`).
 Roots are polished after the fact by :func:`_polish`, the only Newton polish,
 run in fixed point at 60 digits on the square-free part p / gcd(p, p')
 (:func:`square_free_part`), computed exactly.  It has the same roots as p,
@@ -24,19 +26,21 @@ triple root.  :func:`refine_all` polishes a whole root set with it, starting
 from the working-precision roots with all their digits.
 
 :func:`aberth_roots`, simultaneous Aberth-Ehrlich iteration in double or in
-fixed point, is no program path: it stays as the tests' oracle.  One Aberth
-iteration serves both arithmetics, on Yun's factors, each solved from its own
-companion matrix's eigenvalues: in Python complex or, when the config sets a
-working precision in decimal digits, in fixed point, where each iterate is
-two Python integers on a 2**-bits grid and the sweep (:func:`_fixed_aberth`)
-computes on those integers directly, flooring every product and quotient to
-the grid and keeping every sum exact; :class:`_FixedComplex` only carries its
-starts and roots.  Double precision is enough for degrees up to roughly 12;
-beyond that the monomial basis becomes badly conditioned near the ends of the
-root interval (evaluation noise grows like 6**degree).  Every evaluation goes
-through one Horner pass that also bounds its own rounding noise, and the
-iteration stops a root at that noise floor.  :func:`_polish` runs the same
-fixed-point iteration from a single start, which is Newton's method.
+fixed point, is no program path: it stays as the tests' oracle, and only its
+fixed-point sweep serves the program, in :func:`_refined` and :func:`_polish`.
+One Aberth iteration serves both arithmetics, on Yun's factors, each solved
+from its own companion matrix's eigenvalues: in Python complex or, when the
+config sets a working precision in decimal digits, in fixed point, where each
+iterate is two Python integers on a 2**-bits grid and the sweep
+(:func:`_fixed_aberth`) computes on those integers directly, flooring every
+product and quotient to the grid and keeping every sum exact;
+:class:`_FixedComplex` only carries its starts and roots.  Double precision is
+enough for degrees up to roughly 12; beyond that the monomial basis becomes
+badly conditioned near the ends of the root interval (evaluation noise grows
+like 6**degree).  Every evaluation goes through one Horner pass that also
+bounds its own rounding noise, and the iteration stops a root at that noise
+floor.  :func:`_polish` runs the same fixed-point iteration from a single
+start, which is Newton's method.
 
 Whether p has a non-real root at all is decided without any root:
 :func:`spectral_verdict` counts p's distinct real roots by Sturm's theorem,
@@ -104,8 +108,10 @@ def _coefficients(p) -> tuple:
     return tuple(coeffs)
 
 
-#: bits of the grid :func:`certify_roots` rounds each approximation to
+#: bits of the grid :func:`certify_roots` rounds each approximation to, and
+#: of the finer grid :func:`_refined` puts its refined roots on
 _DISC_BITS = 64
+_REFINED_BITS = 2 * _DISC_BITS
 
 
 def certify_roots(p, approximations, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSet:
@@ -114,86 +120,149 @@ def certify_roots(p, approximations, cfg: RootFinderConfig = RootFinderConfig())
     p splits into the factors a_k of :func:`_square_free_factors`, whose
     roots are simple and are the roots of multiplicity k in p.  Each finite
     approximation z is rounded down to the 2**-64 grid, and every a_k is
-    evaluated there exactly (:func:`_newton_disc`).  The disc of radius
-    d * |a_k(z) / a_k'(z)| about z, d = deg a_k, holds a root of a_k, since
-    |a'/a| = |sum_j 1 / (z - r_j)| <= d / min_j |z - r_j|.  The approximation
-    goes to the factor where its disc is smallest.  A factor takes its discs
-    smallest first, and a disc that overlaps one already taken joins the
-    cluster of the first such disc; the taken discs are pairwise disjoint.
-    When a_k takes exactly d discs, each holds exactly one root of a_k.  When
-    moreover every cluster of a_k holds exactly k approximations, the set is
-    certified: each root is listed k times at one exact Newton step from its
-    disc's centre, a point inside the disc.  With ``cfg.working_dps`` the
-    step is also kept in ``working``, on the grid of :func:`_fixed_point` for
-    that precision, for :func:`refine_all` to polish.  ``max_radius`` is the
-    largest disc taken.  Any other count leaves ``converged=False``, the
-    approximations as the roots and no radius.  Nothing here reads a matrix.
+    evaluated there exactly (:func:`_newton_disc`); the conjugate of an
+    approximation already seen takes the conjugate discs instead.  The disc
+    of radius d * |a_k(z) / a_k'(z)| about z, d = deg a_k, holds a root of
+    a_k, since |a'/a| = |sum_j 1 / (z - r_j)| <= d / min_j |z - r_j|.  The
+    approximation goes to the factor where its disc is smallest, and each
+    factor sorts its discs into clusters (:func:`_clusters`).  When a_k has
+    exactly d clusters, their discs are pairwise disjoint and each holds
+    exactly one root of a_k.
+    When moreover every cluster of a_k holds exactly k approximations, the
+    factor is certified: each root is listed k times at one exact Newton step
+    from its disc's centre.  With ``cfg.working_dps`` the step is also kept
+    in ``working``, on the grid of :func:`_fixed_point` for that precision,
+    for :func:`refine_all` to polish, and a factor that fails gets a second
+    chance from its approximations refined at that precision
+    (:func:`_refined`).  ``max_radius`` bounds the distance from each
+    reported root to its root before the root is rounded to a ``complex``:
+    the Newton step moves d times less than the disc's radius r, so it is
+    the largest r (1 + 1/d).  Any other count leaves ``converged=False``,
+    the approximations as the roots and no radius.  Nothing here reads a
+    matrix.
     """
     coeffs = _coefficients(p)
     factors = _square_free_factors(coeffs)
     taken: list[list[_Disc]] = [[] for _ in factors]
-    seen: dict[tuple[int, int], list[_Disc]] = {}
-    for z in approximations:
+    seen: dict[complex, list[_Disc]] = {}
+    for z in map(complex, approximations):
         if not cmath.isfinite(z):
             continue
-        point = _FixedComplex.of(z, _DISC_BITS)
-        # the factors are real: a conjugate point has the conjugate discs
-        mirror = seen.get((point.re, -point.im))
-        discs = seen[point.re, point.im] = (
-            [disc.conjugate() for disc in mirror] if mirror
-            else [_newton_disc(a, point.re, point.im) for a, _ in factors])
+        # the factors are real, so the discs about a conjugate centre are the
+        # conjugate discs: a real matrix's non-real eigenvalues come in exact
+        # conjugate pairs, and each pair costs one Horner pass per factor
+        mirror = seen.get(z.conjugate())
+        if mirror is not None:
+            discs = [disc.conjugate() for disc in mirror]
+        else:
+            point = _FixedComplex.of(z, _DISC_BITS)
+            discs = seen[z] = [_newton_disc(a, point.re, point.im, _DISC_BITS)
+                               for a, _ in factors]
         best = min(range(len(discs)), key=lambda i: discs[i].radius)
         taken[best].append(discs[best])
     dps = cfg.working_dps
-    roots, working, radius = [], [], 0
+    roots, working, reach = [], [], 0
     for (a, multiplicity), discs in zip(factors, taken):
-        kept: list[_Disc] = []
-        members: list[int] = []
-        for disc in sorted(discs, key=lambda disc: disc.radius):
-            owner = next((i for i, other in enumerate(kept) if disc.overlaps(other)), None)
-            if owner is None:
-                kept.append(disc)
-                members.append(1)
-            else:
-                members[owner] += 1
-        if len(kept) != len(a) - 1 or any(m != multiplicity for m in members):
+        clusters = _clusters(discs)
+        if not _certified(clusters, a, multiplicity) and dps is not None:
+            clusters = _clusters(_refined(a, multiplicity, clusters, dps))
+        if not _certified(clusters, a, multiplicity):
             return ComplexRootSet(tuple(map(complex, approximations)), False, coeffs)
         bits = None if dps is None else _grid_bits(a, dps)
-        for disc in kept:
+        degree = len(a) - 1
+        for disc, *_ in clusters:
             step = disc.newton_step(bits)
             roots += [complex(step)] * multiplicity
             working += [step] * multiplicity
-            radius = max(radius, disc.radius)
-    return ComplexRootSet(tuple(roots), True, coeffs, () if dps is None else tuple(working),
-                          _scaled_down(radius, _DISC_BITS))
+            reach = max(reach, _scaled_down(disc.radius + -(-disc.radius // degree), disc.bits))
+    return ComplexRootSet(tuple(roots), True, coeffs, () if dps is None else tuple(working), reach)
+
+
+def _clusters(discs: list["_Disc"]) -> list[list["_Disc"]]:
+    """The discs grouped into clusters, each led by its smallest disc.
+
+    The discs are taken smallest first; one that overlaps a cluster's
+    leading disc joins the first such cluster, any other leads a new one.
+    The leading discs are pairwise disjoint, and each cluster lists its
+    discs smallest first.
+    """
+    clusters: list[list[_Disc]] = []
+    for disc in sorted(discs, key=lambda disc: disc.radius):
+        owner = next((c for c in clusters if disc.overlaps(c[0])), None)
+        if owner is None:
+            clusters.append([disc])
+        else:
+            owner.append(disc)
+    return clusters
+
+
+def _certified(clusters: list[list["_Disc"]], a: list[int], multiplicity: int) -> bool:
+    """Whether the clusters certify a: deg a of them, ``multiplicity`` discs each."""
+    return len(clusters) == len(a) - 1 and all(len(c) == multiplicity for c in clusters)
+
+
+#: the Aberth sweeps :func:`_refined` runs at most
+_REFINE_SWEEPS = 100
+
+
+def _refined(a: list[int], multiplicity: int, clusters: list[list["_Disc"]],
+             dps: int) -> list["_Disc"]:
+    """Newton discs of a from its approximations refined at ``dps`` digits.
+
+    A cluster of m approximations of a factor of multiplicity k stands for
+    about m / k roots, so its m // k smallest discs are taken as starts.
+    When that gives deg a starts, at most ``_REFINE_SWEEPS`` sweeps of
+    :func:`_fixed_aberth` on a's exact coefficients refine them all
+    together from :func:`_nudged` starts, so that roots closer together
+    than the approximations could tell apart (``eigvals`` can return one
+    double for two of them) are pulled apart, until their steps fall below
+    2**-128.  Each refined root gets its disc on the 2**-128 grid,
+    ``multiplicity`` times, so that roots too close for discs on the
+    2**-64 grid are told apart too; a finer grid would tell closer roots
+    apart, but the exact Horner pass grows with its bits times the degree.
+    Otherwise there are no discs.  The discs prove whatever they hold, so
+    the refined roots need not have converged.
+    """
+    starts = [complex(_FixedComplex(disc.x, disc.y, disc.bits))
+              for c in clusters for disc in c[:len(c) // multiplicity]]
+    if len(starts) != len(a) - 1:
+        return []
+    terms, starts, bits = _fixed_point(a, _nudged(starts), dps)
+    zs, _ = _fixed_aberth(terms, starts, bits, 2.0 ** -_REFINED_BITS, _REFINE_SWEEPS)
+    discs = []
+    for z in zs:
+        point = _FixedComplex.of(z, _REFINED_BITS)
+        discs += [_newton_disc(a, point.re, point.im, _REFINED_BITS)] * multiplicity
+    return discs
 
 
 @dataclass(frozen=True)
 class _Disc:
-    """A Newton disc on the 2**-64 grid, with what its Newton step needs.
+    """A Newton disc on the 2**-bits grid, with what its Newton step needs.
 
-    The centre is z = (x + i y) * 2**-64 and ``radius`` bounds
-    d * |a(z) / a'(z)| from above in units of 2**-64 (inf where a'(z) = 0).
-    ``value`` and ``slope`` are D**d a(z) and D**(d-1) a'(z), D = 2**64, as
-    (real, imaginary) integer pairs.
+    The centre is z = (x + i y) / D, D = 2**bits, and ``radius`` bounds
+    d * |a(z) / a'(z)| from above in units of 1 / D (inf where a'(z) = 0).
+    ``value`` and ``slope`` are D**d a(z) and D**(d-1) a'(z) as (real,
+    imaginary) integer pairs.
     """
 
     x: int
     y: int
+    bits: int
     radius: int | float
     value: tuple[int, int]
     slope: tuple[int, int]
 
     def overlaps(self, other: "_Disc") -> bool:
-        """Whether the two closed discs meet, decided exactly."""
+        """Whether two closed discs on one grid meet, decided exactly."""
         reach = self.radius + other.radius
         dx, dy = self.x - other.x, self.y - other.y
         return abs(dx) <= reach and dx * dx + dy * dy <= reach * reach
 
     def conjugate(self) -> "_Disc":
-        """The same disc of the same real polynomial at the conjugate point."""
+        """The disc of the same real polynomial about the conjugate centre."""
         (pr, pi), (qr, qi) = self.value, self.slope
-        return _Disc(self.x, -self.y, self.radius, (pr, -pi), (qr, -qi))
+        return _Disc(self.x, -self.y, self.bits, self.radius, (pr, -pi), (qr, -qi))
 
     def newton_step(self, bits: int | None):
         """z - a(z) / a'(z): floored to a 2**-bits :class:`_FixedComplex`, or
@@ -203,38 +272,34 @@ class _Disc:
         # z - a/a' = (Z |A'|^2 - A conj(A')) / (D |A'|^2) with Z = x + i y
         re = self.x * norm - (pr * qr + pi * qi)
         im = self.y * norm - (pi * qr - pr * qi)
-        den = norm << _DISC_BITS
+        den = norm << self.bits
         if bits is None:
             return complex(re / den, im / den)
         return _FixedComplex((re << bits) // den, (im << bits) // den, bits)
 
 
-def _newton_disc(a: list[int], x: int, y: int) -> _Disc:
-    """The Newton disc of the integer polynomial a at (x + i y) * 2**-64.
+def _newton_disc(a: list[int], x: int, y: int, bits: int) -> _Disc:
+    """The Newton disc of the integer polynomial a at (x + i y) * 2**-bits.
 
     One homogeneous Horner pass over the Gaussian integers: with Z = x + i y
-    and D = 2**64, P_m = Z P_(m-1) + a_(d-m) D**m and Q_m = Z Q_(m-1) +
+    and D = 2**bits, P_m = Z P_(m-1) + a_(d-m) D**m and Q_m = Z Q_(m-1) +
     P_(m-1) end in P_d = D**d a(z) and Q_d = D**(d-1) a'(z), exactly.  The
     radius d |a / a'| is d |P_d| / |Q_d| in grid units, rounded up to an
     integer by an exact integer square root.
     """
     d = len(a) - 1
     pr, pi, qr, qi = a[-1], 0, 0, 0
-    if y:
-        for m in range(1, d + 1):
-            qr, qi = qr * x - qi * y + pr, qr * y + qi * x + pi
-            pr, pi = pr * x - pi * y + (a[d - m] << (_DISC_BITS * m)), pr * y + pi * x
-    else:  # a real point leaves every imaginary part 0
-        for m in range(1, d + 1):
-            qr, pr = qr * x + pr, pr * x + (a[d - m] << (_DISC_BITS * m))
+    for m in range(1, d + 1):
+        qr, qi = qr * x - qi * y + pr, qr * y + qi * x + pi
+        pr, pi = pr * x - pi * y + (a[d - m] << (bits * m)), pr * y + pi * x
     norm = qr * qr + qi * qi
     if not norm:
-        return _Disc(x, y, math.inf, (pr, pi), (qr, qi))
+        return _Disc(x, y, bits, math.inf, (pr, pi), (qr, qi))
     square = -(-(d * d) * (pr * pr + pi * pi) // norm)  # ceil(d**2 |P|**2 / |Q|**2)
     radius = math.isqrt(square)
     if radius * radius < square:
         radius += 1
-    return _Disc(x, y, radius, (pr, pi), (qr, qi))
+    return _Disc(x, y, bits, radius, (pr, pi), (qr, qi))
 
 
 def _horner(cs: Sequence, z):
@@ -428,8 +493,14 @@ def _companion_starts(coeffs: tuple) -> list[complex]:
             eigs = np.roots([float(c) for c in reversed(coeffs)])
     except (np.linalg.LinAlgError, OverflowError):  # beyond double range
         return [complex(math.nan, math.nan)] * (len(coeffs) - 1)
+    return _nudged(eigs)
+
+
+def _nudged(zs) -> list[complex]:
+    """Each z moved up by (k + 1) nudges, k its index, so that no two starts
+    coincide and no start set is symmetric about the real axis."""
     return [complex(z) + 1j * _START_NUDGE * (k + 1) * max(1.0, abs(z))
-            for k, z in enumerate(eigs)]
+            for k, z in enumerate(zs)]
 
 
 def _aberth(cs: Sequence, starts: Sequence, tol, max_iterations: int, eps):

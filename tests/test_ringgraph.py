@@ -450,6 +450,19 @@ class TestCertifiedSpectrum:
         plant_eigvals(monkeypatch, lambda values: distinct + distinct[:7])
         assert not spectrum_numeric(g).converged
 
+    def test_a_multi_gap_ring_at_eighty_certifies_at_working_precision(self):
+        # the first of perfbench's random_multi_gap masks at n = 80, seed 5: two
+        # roots 2.6e-12 apart, which eigvals does not resolve into disjoint discs
+        mask = "11010000110100001101000100000000110000110110010110101111101100101101110100000111"
+        g = RingDigraph.from_mask_string(80, mask)
+        assert not spectrum_numeric(g).converged
+        cfg = RootFinderConfig(working_dps=110)
+        rs = spectrum_numeric(g, cfg)
+        assert rs.converged and len(rs.roots) == 80 and rs.max_radius < 1e-30
+        oracle = refine_all(rootfind.aberth_roots(rs.source, cfg))
+        assert oracle.converged
+        match_multisets(oracle.roots, refine_all(rs).roots, 1e-40)
+
     def test_no_aberth_iteration(self, monkeypatch):
         def unavailable(*args, **kwargs):
             raise AssertionError("the numeric spectrum ran the Aberth oracle")

@@ -407,15 +407,22 @@ def _grid_distance(z, roots) -> float:
 
 
 class TestCertifyRoots:
-    def test_known_roots_with_multiplicities(self):
+    def test_known_roots_with_multiplicities(self, monkeypatch):
         # Yun's factors: a_1 = (x^2 + 1)(x + 3), a_2 = 2x - 1, a_3 = x - 1
         p = _expand([([-1, 1], 3), ([-1, 2], 2), ([1, 0, 1], 1), ([3, 1], 1)])
         true = [1, 1, 1, 0.5, 0.5, 1j, -1j, -3]
         rng = random.Random(3)
         approx = [complex(r) + complex(rng.uniform(-1e-9, 1e-9), rng.uniform(-1e-9, 1e-9))
                   for r in true]
-        approx[6] = approx[5].conjugate()  # its disc is the conjugate of the other's
+        approx[6] = approx[5].conjugate()
+        passes = []
+        newton_disc = rootfind._newton_disc
+        monkeypatch.setattr(rootfind, "_newton_disc",
+                            lambda a, x, y, bits: passes.append(y) or newton_disc(a, x, y, bits))
         rs = rootfind.certify_roots(p, approx, RootFinderConfig(working_dps=40))
+        # three factors at seven points: the conjugate takes the mirrored discs
+        assert len(passes) == 21
+        monkeypatch.undo()
         assert rs.converged and rs.source == rootfind._coefficients(p)
         assert 0 < rs.max_radius < 1e-7
         match_multisets(true, rs.roots, 1e-15)
@@ -429,11 +436,12 @@ class TestCertifyRoots:
         assert abs(pair[0].im + pair[1].im) <= 1
         assert rootfind.certify_roots(p, approx).working == ()
 
-    def test_newton_disc_is_exact(self):
-        # P = D**d a(z) and Q = D**(d-1) a'(z) at z = (x + i y) / D, D = 2**64,
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_newton_disc_is_exact(self, bits):
+        # P = D**d a(z) and Q = D**(d-1) a'(z) at z = (x + i y) / D, D = 2**bits,
         # and the radius is the least integer >= d |P| / |Q|
         rng = random.Random(8)
-        one = 1 << 64
+        one = 1 << bits
         cases = [([-1, 3], one // 3, 0)]  # 3z - 1 one grid step below 1/3: ratio 1/9
         for trial in range(200):
             a = [rng.randint(-50, 50) for _ in range(rng.randint(1, 9))] + [rng.randint(1, 5)]
@@ -441,7 +449,7 @@ class TestCertifyRoots:
                           rng.choice([0, rng.randint(-3 * one, 3 * one)])))
         for trial, (a, x, y) in enumerate(cases):
             d = len(a) - 1
-            disc = rootfind._newton_disc(a, x, y)
+            disc = rootfind._newton_disc(a, x, y, bits)
             zr, zi = Fraction(x, one), Fraction(y, one)
             vr = vi = wr = wi = Fraction(0)
             for c in reversed(a):
@@ -449,10 +457,11 @@ class TestCertifyRoots:
                 vr, vi = vr * zr - vi * zi + c, vr * zi + vi * zr
             assert disc.value == (vr * one ** d, vi * one ** d), trial
             assert disc.slope == (wr * one ** (d - 1), wi * one ** (d - 1)), trial
+            assert disc.conjugate() == rootfind._newton_disc(a, x, -y, bits), trial
             (pr, pi), (qr, qi) = disc.value, disc.slope
             ratio = Fraction(d * d * (pr * pr + pi * pi), qr * qr + qi * qi)
             assert disc.radius ** 2 >= ratio > (disc.radius - 1) ** 2 or ratio == disc.radius == 0
-        assert rootfind._newton_disc([-1, 3], one // 3, 0).radius == 1
+        assert rootfind._newton_disc([-1, 3], one // 3, 0, bits).radius == 1
 
     def test_planted_bad_approximations_are_not_certified(self):
         p = _monic_from_roots([1, 2, 3, 4, 5, 6])
@@ -463,10 +472,20 @@ class TestCertifyRoots:
                    good + [3.5],                 # one too many
                    good[:5] + [complex(math.nan, 0)]]
         for approx in planted:
-            rs = rootfind.certify_roots(p, approx, RootFinderConfig(working_dps=30))
+            rs = rootfind.certify_roots(p, approx)
             assert not rs.converged, approx
             assert len(rs.roots) == len(approx) and rs.roots[:5] == tuple(good[:5])
             assert rs.max_radius is None and rs.working == ()
+        # with a working precision the factor gets a second chance from its
+        # approximations refined together, one per root: a count that is off
+        # still fails, and a root given in place of another is moved back
+        cfg = RootFinderConfig(working_dps=30)
+        for approx in planted[1:]:
+            rs = rootfind.certify_roots(p, approx, cfg)
+            assert not rs.converged and rs.max_radius is None and rs.working == (), approx
+        rs = rootfind.certify_roots(p, planted[0], cfg)
+        assert rs.converged and rs.max_radius < 1e-30
+        match_multisets([1, 2, 3, 4, 5, 6], rs.roots, 1e-15)
         # an isolated root stays certified from 0.1 away, by a disc that wide
         rs = rootfind.certify_roots(p, good[:5] + [6.1])
         assert rs.converged and 0.1 <= rs.max_radius < 1
@@ -477,6 +496,14 @@ class TestCertifyRoots:
         assert not rootfind.certify_roots(q, [1.0, 2.0, 2.0]).converged
         assert not rootfind.certify_roots(q, [1.0, 2.0]).converged
 
+    def test_max_radius_bounds_the_step_from_the_centre(self):
+        # x^2 - 2 from 1.4: a/a' = -0.04/2.8, so the disc has radius 2|a/a'|
+        # and the step moves |a/a'| more, which max_radius includes
+        rs = rootfind.certify_roots(IntPolynomial([-2, 0, 1]), [1.4, -1.4])
+        assert rs.converged
+        assert rs.max_radius == pytest.approx(3 * 0.04 / 2.8, rel=1e-12)
+        match_multisets([math.sqrt(2), -math.sqrt(2)], rs.roots, rs.max_radius)
+
     def test_roots_closer_than_the_grid_are_not_certified(self):
         # the polynomial of aberth_roots' fault F4: two roots near 1e-30
         # round to one point of the 2**-64 grid, so their discs coincide
@@ -484,11 +511,54 @@ class TestCertifyRoots:
                      IntPolynomial([2, -3, 1]))
         rs = rootfind.certify_roots(p, [1e-30, 3e-30, 1.0, 2.0])
         assert not rs.converged and rs.max_radius is None
+        # refined at a working precision, they are told apart on the 2**-128 grid
+        rs = rootfind.certify_roots(p, [1e-30, 3e-30, 1.0, 2.0], RootFinderConfig(working_dps=40))
+        assert rs.converged and rs.max_radius < 1e-35
+        match_multisets([1e-30, 3e-30, 1, 2], rs.roots, 1e-36)
+
+    def test_a_failing_factor_is_refined_at_working_precision(self, monkeypatch):
+        # (x - 1)(x - 1 - 1e-6)(x - 2): approximations 3e-7 off the close
+        # pair give discs that overlap; Aberth at the working precision
+        # separates them, and the discs are drawn again on the 2**-128 grid
+        p = poly_mul(poly_mul(IntPolynomial([-1, 1]), IntPolynomial([-(10 ** 6 + 1), 10 ** 6])),
+                     IntPolynomial([-2, 1]))
+        approx = [1 + 3e-7, 1 + 7e-7, 2.0]
+        assert not rootfind.certify_roots(p, approx).converged
+        sweeps = []
+        fixed_aberth = rootfind._fixed_aberth
+        monkeypatch.setattr(rootfind, "_fixed_aberth",
+                            lambda *args: sweeps.append(args[-1]) or fixed_aberth(*args))
+        rs = rootfind.certify_roots(p, approx, RootFinderConfig(working_dps=40))
+        assert sweeps == [rootfind._REFINE_SWEEPS]
+        assert rs.converged and rs.max_radius < 1e-35
+        match_multisets([1, 1 + 1e-6, 2], rs.roots, 1e-15)
+        true = [Fraction(1), Fraction(10 ** 6 + 1, 10 ** 6), Fraction(2)]
+        for z in rs.working:
+            assert min(abs(Fraction(z.re, 1 << z.bits) - r) for r in true) < Fraction(1, 10 ** 39)
+            assert z.im == 0
+        # one double for two roots 1e-20 apart, as eigvals can give: the
+        # starts are nudged apart before they are refined
+        close = poly_mul(poly_mul(IntPolynomial([-1, 1]),
+                                  IntPolynomial([-(10 ** 20 + 1), 10 ** 20])),
+                         IntPolynomial([-2, 1]))
+        assert not rootfind.certify_roots(close, [1.0, 1.0, 2.0]).converged
+        rs = rootfind.certify_roots(close, [1.0, 1.0, 2.0], RootFinderConfig(working_dps=40))
+        assert rs.converged and rs.max_radius < 1e-21
+        pair = [Fraction(z.re, 1 << z.bits) for z in rs.working if abs(complex(z) - 1) < 0.5]
+        assert len(pair) == 2
+        assert abs(abs(pair[0] - pair[1]) - Fraction(1, 10 ** 20)) <= 2 * rs.max_radius
+        # on p squared, a cluster of four approximations gives two starts,
+        # and each refined root is listed twice
+        q = poly_mul(p, p)
+        assert not rootfind.certify_roots(q, approx + approx).converged
+        rs = rootfind.certify_roots(q, approx + approx, RootFinderConfig(working_dps=40))
+        assert rs.converged
+        match_multisets([1, 1, 1 + 1e-6, 1 + 1e-6, 2, 2], rs.roots, 1e-15)
 
     def test_certified_discs_hold_the_roots(self):
         # random integer polynomials, some with repeated factors, from the
         # companion matrix's eigenvalues: every certified root lies within
-        # twice the largest radius of a root mpmath finds
+        # max_radius of a root mpmath finds, up to its rounding to a complex
         rng = random.Random(11)
         certified = 0
         for trial in range(150):
@@ -504,7 +574,7 @@ class TestCertifyRoots:
                 continue
             certified += 1
             reference = [complex(r) for r in _polyroots(p)]
-            match_multisets(reference, rs.roots, 2 * rs.max_radius + 1e-13)
+            match_multisets(reference, rs.roots, rs.max_radius + 1e-13)
         assert certified >= 100
 
     def test_certified_spectra_polish_as_the_oracle_does(self):
