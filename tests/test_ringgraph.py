@@ -473,7 +473,9 @@ class TestCertifiedSpectrum:
         for mask in ("0" * 8, "1" * 9, "0" + "1" * 9, "0110", "001011011101"):
             g = RingDigraph.from_mask_string(len(mask), mask)
             for cfg in (CFG, RootFinderConfig(working_dps=40)):
-                assert spectrum_numeric(g, cfg).converged
+                rs = spectrum_numeric(g, cfg)
+                assert rs.converged
+                match_multisets(rs.roots, refine_all(rs).roots, 2 * rs.max_radius + 1e-14)
 
 
 class TestScan:

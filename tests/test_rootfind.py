@@ -431,10 +431,56 @@ class TestCertifyRoots:
         # about 1e-18 off on the cubic
         assert max(_grid_distance(z, [complex(r) for r in true]) for z in rs.working) < 1e-16
         pair = [z for z in rs.working if abs(complex(z).imag) > 0.5]
-        # conjugates, up to the floor to the grid
-        assert len(pair) == 2 and pair[0].re == pair[1].re
-        assert abs(pair[0].im + pair[1].im) <= 1
+        # exact conjugates: one Newton step per pair, mirrored
+        assert len(pair) == 2 and pair[0] == pair[1].conjugate()
         assert rootfind.certify_roots(p, approx).working == ()
+
+    def test_square_free_attempt_changes_no_answer(self, monkeypatch):
+        # with the attempt on p itself turned off, every answer comes from
+        # Yun's factors; both routes give the same roots, digits and radii
+        masks = {}
+        for n in range(3, 13):
+            for bits in range(2 ** n):
+                g = RingDigraph(n, tuple(bool((bits >> j) & 1) for j in range(n)))
+                dec = g.decomposition
+                masks.setdefault((n, dec.K, tuple(sorted(dec.gaps))), g)
+        assert len(masks) == 278
+        cases = [(g, CFG) for g in masks.values()]
+        cases += [(RingDigraph.from_mask_string(len(mask), mask),
+                   RootFinderConfig(working_dps=30 + len(mask))) for mask in CERTIFIED_MASKS]
+        fields = ("roots", "converged", "max_radius", "working")
+        factorizations = []
+        square_free_factors = rootfind._square_free_factors
+        monkeypatch.setattr(rootfind, "_square_free_factors",
+                            lambda p: factorizations.append(p) or square_free_factors(p))
+        normal = [spectrum_numeric(g, cfg) for g, cfg in cases]
+        # most spectra certify without Yun's sequence, but not all
+        assert 0 < len(factorizations) < len(cases) / 2
+        monkeypatch.setattr(rootfind, "_SEPARATION", math.inf)
+        yun = [spectrum_numeric(g, cfg) for g, cfg in cases]
+        for (g, cfg), a, b in zip(cases, normal, yun):
+            assert a.converged, g.mask_string()
+            assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields], \
+                g.mask_string()
+
+    def test_separated_approximations_of_a_double_root_go_to_yun(self, monkeypatch):
+        # (x - 1)^2 (x - 2) from 0.9, 1.1 and 2.0: the attempt on p itself
+        # draws three discs, of which the two about the double root overlap,
+        # so Yun's factors x - 2 and x - 1 (two discs each) certify instead
+        p = _monic_from_roots([1, 1, 2])
+        passes, factorizations = [], []
+        newton_disc, square_free_factors = rootfind._newton_disc, rootfind._square_free_factors
+        monkeypatch.setattr(rootfind, "_newton_disc",
+                            lambda a, *point: passes.append(a) or newton_disc(a, *point))
+        monkeypatch.setattr(rootfind, "_square_free_factors",
+                            lambda p: factorizations.append(p) or square_free_factors(p))
+        for cfg in (CFG, RootFinderConfig(working_dps=30)):
+            passes.clear()
+            factorizations.clear()
+            rs = rootfind.certify_roots(p, [0.9, 1.1, 2.0], cfg)
+            assert rs.converged and sorted(rs.roots, key=abs) == [1, 1, 2]
+            assert [len(a) - 1 for a in passes] == [3] * 3 + [1] * 6
+            assert len(factorizations) == 1
 
     @pytest.mark.parametrize("bits", [64, 128])
     def test_newton_disc_is_exact(self, bits):
@@ -642,9 +688,60 @@ class TestRefinement:
         rs = aberth_roots(poly, RootFinderConfig(working_dps=70))
         calls = _count_horner(monkeypatch)
         refined = refine_all(rs)
-        assert calls[0] <= 2 * len(rs.roots)
+        assert calls[0] <= len(rs.roots) + 1
         match_multisets(closed, refined.roots, 1e-12)
         assert refined.converged and refined.source == rs.source
+
+    def test_certified_spectra_polish_in_few_evaluations(self, monkeypatch):
+        # the roots certify_roots keeps carry 30 + n digits, so one Newton
+        # step reaches 60; Newton's error estimate from the other roots
+        # stops almost every root there, without a confirming evaluation
+        # (413 evaluations when each root was polished alone and confirmed)
+        sets = [spectrum_numeric(RingDigraph.from_mask_string(len(mask), mask),
+                                 RootFinderConfig(working_dps=30 + len(mask)))
+                for mask in CERTIFIED_MASKS]
+        calls = _count_horner(monkeypatch)
+        for rs in sets:
+            refine_all(rs)
+        assert calls[0] <= 160
+
+    @pytest.mark.parametrize("mask, distinct", [
+        # 0 and 4 once, four double roots: six points, all real
+        ("1" * 10, 6),
+        # 0 and 2, and nine conjugate pairs 1 - exp(+-2 pi i k / 20)
+        ("0" * 20, 11)])
+    def test_copies_and_conjugates_are_polished_once(self, monkeypatch, mask, distinct):
+        n = len(mask)
+        g = RingDigraph.from_mask_string(n, mask)
+        rs = spectrum_numeric(g, RootFinderConfig(working_dps=30 + n))
+        starts = []
+        newton = rootfind._newton
+        monkeypatch.setattr(rootfind, "_newton",
+                            lambda terms, zr, zi, *rest: starts.append((zr, zi))
+                            or newton(terms, zr, zi, *rest))
+        refined = refine_all(rs)
+        assert len(starts) == len(set(starts)) == distinct
+        assert not any((zr, -zi) in starts for zr, zi in starts if zi)
+        match_multisets(closed_form_spectrum(g), refined.roots, 1e-12)
+        for z in refined.roots:
+            assert refined.roots.count(z) == refined.roots.count(z.conjugate())
+
+    def test_error_estimate_needs_every_root(self, monkeypatch):
+        # the estimate sums 1 / |z_i - z_j| over q's other roots, so a set
+        # without all of them stops by step size and noise floor alone
+        spreads = []
+        newton = rootfind._newton
+        monkeypatch.setattr(rootfind, "_newton",
+                            lambda *args: spreads.append(args[-1]) or newton(*args))
+        p = IntPolynomial([-2, 0, 1])
+        (alone,) = _polished(p, [1.41421])
+        both = _polished(p, [1.41421, -1.41421])
+        assert spreads == [math.inf] + [pytest.approx(1 / 2.82842, rel=1e-5)] * 2
+        assert alone == both[0] == -both[1] == pytest.approx(math.sqrt(2), abs=1e-15)
+        # (x^2 - 2)(x - 3): the same two starts are two of three roots
+        spreads.clear()
+        assert _polished(poly_mul(p, IntPolynomial([-3, 1])), [1.41421, -1.41421]) == both
+        assert spreads == [math.inf] * 2
 
     def test_zero_derivative_without_a_root_stays_unconverged(self):
         # x^2 + 1 at 0: Newton has no step and 0 is not a root
