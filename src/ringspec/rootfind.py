@@ -9,29 +9,38 @@ and the Faddeev-LeVerrier trace recursion for every other matrix.
 
 It reads no matrix to find roots.  :func:`certify_roots` takes approximations
 from its caller (the program passes the Laplacian's ``numpy.linalg.eigvals``)
-and proves them against the exact polynomial p, or where that fails against
-the factors of its exact square-free factorization (Yun's algorithm): each
-is evaluated exactly at each approximation rounded to a 2**-64 grid, by one
-Horner pass over the Gaussian integers, and Newton's inclusion discs
-d * |a / a'| that come out pairwise disjoint, as many per factor as its
-degree, hold one root each, reported one exact Newton step from the centre.
-Under a working precision a factor whose discs fail is refined by
-:func:`_fixed_aberth` sweeps and tried again on a 2**-128 grid
-(:func:`_refined`).  :func:`refine_all` polishes each distinct root once by
-Newton's method (:func:`_polish`) at 60 digits on the exact square-free part
-p / gcd(p, p') (:func:`square_free_part`), whose roots are p's, all simple,
-starting from the working-precision roots with all their digits.
+and proves them against the exact polynomial: p itself when its discs prove
+it square-free, else the exact square-free factorization of p (Yun's
+algorithm) splits it into factors whose roots are
+all simple, each factor is evaluated exactly at each approximation rounded to
+a 2**-64 grid, by one Horner pass over the Gaussian integers, and Newton's
+inclusion discs d * |a / a'| that come out pairwise disjoint, as many per
+factor as its degree, hold one root each.  Each root is then reported one
+exact Newton step from its disc's centre.  Under a working precision a
+factor whose discs fail is refined by :func:`_fixed_aberth` sweeps and
+tried again on a 2**-128 grid (:func:`_refined`).
+Roots are polished after the fact by :func:`_polish`, the only Newton polish,
+run in fixed point at 60 digits on the square-free part p / gcd(p, p')
+(:func:`square_free_part`), computed exactly.  It has the same roots as p,
+all simple, so Newton converges quadratically even where p has a double or
+triple root.  :func:`refine_all` polishes a whole root set with it, starting
+from the working-precision roots with all their digits.
 
 :func:`aberth_roots`, simultaneous Aberth-Ehrlich iteration in double or in
-fixed point, is the tests' oracle and no program path; only its fixed-point
-sweep serves the program, in :func:`_refined`.  It solves each of Yun's
-factors from its companion matrix's eigenvalues, in Python complex or, under
-a working precision, on two Python integers per iterate on a 2**-bits grid
-(:func:`_fixed_aberth`), flooring every product and quotient and keeping
-every sum exact.  Double precision is enough for degrees up to roughly 12
-(the monomial basis's evaluation noise grows like 6**degree).  Every
-evaluation goes through one Horner pass that also bounds its own rounding
-noise, and the iterations stop a root at that noise floor.
+fixed point, is no program path: it stays as the tests' oracle, and only its
+fixed-point sweep serves the program, in :func:`_refined`.
+One Aberth iteration serves both arithmetics, on Yun's factors, each solved
+from its own companion matrix's eigenvalues: in Python complex or, when the
+config sets a working precision in decimal digits, in fixed point, where each
+iterate is two Python integers on a 2**-bits grid and the sweep
+(:func:`_fixed_aberth`) computes on those integers directly, flooring every
+product and quotient to the grid and keeping every sum exact;
+:class:`_FixedComplex` only carries its starts and roots.  Double precision is
+enough for degrees up to roughly 12; beyond that the monomial basis becomes
+badly conditioned near the ends of the root interval (evaluation noise grows
+like 6**degree).  Every evaluation goes through one Horner pass that also
+bounds its own rounding noise, and the iteration stops a root at that noise
+floor.  :func:`_polish` runs Newton's method on the same Horner pass.
 
 Whether p has a non-real root at all is decided without any root:
 :func:`spectral_verdict` counts p's distinct real roots by Sturm's theorem,
@@ -105,7 +114,7 @@ _DISC_BITS = 64
 _REFINED_BITS = 2 * _DISC_BITS
 
 
-#: approximations closer than this, relative to max(1, |z|), go straight to Yun's factors
+#: approximations closer than this times max(1, |Re z| + |Im z|) go to Yun's factors
 _SEPARATION = 1e-6
 
 
@@ -122,8 +131,7 @@ def certify_roots(p, approximations, cfg: RootFinderConfig = RootFinderConfig())
     factor of its smallest disc, and each factor sorts its discs into
     clusters (:func:`_clusters`).  When a_k has d clusters, each holds
     exactly one root, and when each has k discs, a_k is certified: each
-    root is listed k times at one exact Newton step from its disc's centre,
-    a conjugate disc's step mirrored from its pair's.
+    root is listed k times at one exact Newton step from its disc's centre.
     With ``cfg.working_dps`` the step is also kept in ``working``, on the
     grid of :func:`_fixed_point` for that precision, for :func:`refine_all`,
     and a factor that fails gets a second chance (:func:`_refined`).
@@ -138,7 +146,6 @@ def certify_roots(p, approximations, cfg: RootFinderConfig = RootFinderConfig())
     """
     coeffs = _coefficients(p)
     zs = [z for z in map(complex, approximations) if cmath.isfinite(z)]
-    # every pair is held to the largest |z|, bounded by |Re z| + |Im z|
     scale = _SEPARATION * max([1.0] + [abs(z.real) + abs(z.imag) for z in zs])
     dps = cfg.working_dps
     for square_free in [True, False] if (_inverse_gaps(zs) < 1 / scale).all() else [False]:
@@ -168,11 +175,8 @@ def certify_roots(p, approximations, cfg: RootFinderConfig = RootFinderConfig())
                 break
             bits = None if dps is None else _grid_bits(a, dps)
             degree = len(a) - 1
-            steps = {}
             for disc, *_ in clusters:
-                mirror = steps.get((disc.x, -disc.y))
-                step = steps[disc.x, disc.y] = \
-                    disc.newton_step(bits) if mirror is None else mirror.conjugate()
+                step = disc.newton_step(bits)
                 roots += [complex(step)] * multiplicity
                 working += [step] * multiplicity
                 reach = max(reach, _scaled_down(disc.radius + -(-disc.radius // degree), disc.bits))
@@ -199,9 +203,8 @@ def _clusters(discs: list["_Disc"]) -> list[list["_Disc"]]:
     """
     clusters: list[list[_Disc]] = []
     for disc in sorted(discs, key=lambda disc: disc.radius):
-        x, y, radius = disc.x, disc.y, disc.radius
         for c in clusters:
-            reach, dx, dy = radius + c[0].radius, x - c[0].x, y - c[0].y
+            reach, dx, dy = disc.radius + c[0].radius, disc.x - c[0].x, disc.y - c[0].y
             if abs(dx) <= reach and dx * dx + dy * dy <= reach * reach:
                 c.append(disc)
                 break
@@ -226,14 +229,16 @@ def _refined(a: list[int], multiplicity: int, clusters: list[list["_Disc"]],
     A cluster of m approximations of a factor of multiplicity k stands for
     about m / k roots, so its m // k smallest discs are taken as starts.
     When that gives deg a starts, at most ``_REFINE_SWEEPS`` sweeps of
-    :func:`_fixed_aberth` on a's exact coefficients refine them together
-    from :func:`_nudged` starts, so that roots the approximations do not
-    tell apart (``eigvals`` can return one double for two) are pulled
-    apart, until their steps fall below 2**-128.  Each refined root gets its
-    disc on the 2**-128 grid, ``multiplicity`` times; a finer grid would
-    tell closer roots apart, but the exact Horner pass grows with its bits
-    times the degree.  Otherwise there are no discs.  The discs prove
-    whatever they hold, so the refined roots need not have converged.
+    :func:`_fixed_aberth` on a's exact coefficients refine them all
+    together from :func:`_nudged` starts, so that roots closer together
+    than the approximations could tell apart (``eigvals`` can return one
+    double for two of them) are pulled apart, until their steps fall below
+    2**-128.  Each refined root gets its disc on the 2**-128 grid,
+    ``multiplicity`` times, so that roots too close for discs on the
+    2**-64 grid are told apart too; a finer grid would tell closer roots
+    apart, but the exact Horner pass grows with its bits times the degree.
+    Otherwise there are no discs.  The discs prove whatever they hold, so
+    the refined roots need not have converged.
     """
     starts = [complex(_FixedComplex(disc.x, disc.y, disc.bits))
               for c in clusters for disc in c[:len(c) // multiplicity]]
@@ -271,8 +276,9 @@ class _Disc:
         return _Disc(self.x, -self.y, self.bits, self.radius, (pr, -pi), (qr, -qi))
 
     def newton_step(self, bits: int | None):
-        """z - a(z) / a'(z): floored to a 2**-bits :class:`_FixedComplex`, or
-        correctly rounded to a ``complex`` when ``bits`` is None."""
+        """z - a(z) / a'(z): on a 2**-bits :class:`_FixedComplex`, floored but
+        for the imaginary part's cut toward 0, so that conjugate discs step to
+        exact conjugates, or correctly rounded to a ``complex`` if bits is None."""
         (pr, pi), (qr, qi) = self.value, self.slope
         norm = qr * qr + qi * qi
         # z - a/a' = (Z |A'|^2 - A conj(A')) / (D |A'|^2) with Z = x + i y
@@ -281,7 +287,8 @@ class _Disc:
         den = norm << self.bits
         if bits is None:
             return complex(re / den, im / den)
-        return _FixedComplex((re << bits) // den, (im << bits) // den, bits)
+        cut = (abs(im) << bits) // den
+        return _FixedComplex((re << bits) // den, cut if im >= 0 else -cut, bits)
 
 
 def _newton_disc(a: list[int], x: int, y: int, bits: int) -> _Disc:
@@ -295,13 +302,9 @@ def _newton_disc(a: list[int], x: int, y: int, bits: int) -> _Disc:
     """
     d = len(a) - 1
     pr, pi, qr, qi = a[-1], 0, 0, 0
-    if y:
-        for m in range(1, d + 1):
-            qr, qi = qr * x - qi * y + pr, qr * y + qi * x + pi
-            pr, pi = pr * x - pi * y + (a[d - m] << (bits * m)), pr * y + pi * x
-    else:  # on the real line the imaginary parts stay 0
-        for m in range(1, d + 1):
-            qr, pr = qr * x + pr, pr * x + (a[d - m] << (bits * m))
+    for m in range(1, d + 1):
+        qr, qi = qr * x - qi * y + pr, qr * y + qi * x + pi
+        pr, pi = pr * x - pi * y + (a[d - m] << (bits * m)), pr * y + pi * x
     norm = qr * qr + qi * qi
     if not norm:
         return _Disc(x, y, bits, math.inf, (pr, pi), (qr, qi))
@@ -335,10 +338,11 @@ def _is_noise(pv, pbar, deg: int, eps) -> bool:
     In floating point Horner's rounding error is a small multiple of
     deg * eps * pbar(|z|), and 4 (deg + 1) covers complex arithmetic.  In
     fixed point with eps = 2**-bits each product errs by less than
-    sqrt(2) * eps, so p(z) errs by less than sqrt(2) eps sum_{k < deg} |z|**k,
-    which pbar(|z|) >= max(1, |z|)**deg covers for integer coefficients with
-    p(0) != 0; where p(0) = 0 it can fall short at |z| well below 1 / deg,
-    and a root there settles by its step size.  An overflowed pbar settles
+    sqrt(2) * eps, absolutely, so p(z) errs by less than
+    sqrt(2) * eps * sum_{k < deg} |z|**k.  With integer coefficients and
+    p(0) != 0, pbar(|z|) >= max(1, |z|)**deg, so the same bound covers that
+    too; where p(0) = 0 it can fall short at |z| well below 1 / deg, and a
+    root there settles by its step size instead.  An overflowed pbar settles
     nothing.
     """
     return abs(pv) <= 4 * (deg + 1) * eps * pbar < math.inf
@@ -347,21 +351,26 @@ def _is_noise(pv, pbar, deg: int, eps) -> bool:
 def aberth_roots(p, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSet:
     """All complex roots of p by simultaneous Aberth-Ehrlich iteration.
 
-    The tests' oracle: no program path calls it.  Each factor of
-    :func:`_square_free_factors` is solved alone and each of its roots
-    repeated by its multiplicity, so the iteration only ever meets simple
-    roots (on a repeated root Aberth converges only linearly, and in double
-    leaves it split by about sqrt(eps)); a square-free p is solved from its
-    own coefficients.  The starts are the companion matrix's eigenvalues
-    (``numpy.roots``), each nudged off the real axis by a different amount,
-    since a conjugate-symmetric start set stays symmetric and can hold a
-    conjugate pair on the real axis.  The iteration runs in double, or in
-    fixed point with ``cfg.working_dps`` significant digits on every nonzero
-    root (:func:`_fixed_point`), which also keeps the roots in ``working``.
-    A root settles when its correction falls below ``CONVERGENCE_TOL`` *
-    max(1, |z|) or, once it has taken a step, at the evaluation-noise floor;
+    The tests' oracle: no program path calls it (:func:`certify_roots` is the
+    program's route to roots).
+    Each factor of :func:`_square_free_factors` is solved from its own
+    starting points and each of its roots repeated by its multiplicity, so
+    the iteration only ever meets simple roots (on a repeated root Aberth
+    converges only linearly, and in double precision leaves it split by
+    about sqrt(eps)).  A square-free p is solved from its own coefficients.
+    The starting points are the eigenvalues of the companion matrix
+    (``numpy.roots``), each nudged off the real axis by a different amount:
+    a conjugate-symmetric start set stays symmetric under the iteration and
+    can hold a conjugate pair on the real axis.  The iteration runs in double
+    precision, or in fixed point on the exact integer coefficients of each
+    factor with ``cfg.working_dps`` significant digits on every nonzero root
+    (:func:`_fixed_point`), which also keeps the roots at working precision
+    in ``working``.  A root settles when its
+    correction falls below ``CONVERGENCE_TOL`` * max(1, |z|) or, once it has
+    taken a step, when |p(z)| reaches the evaluation-noise floor; running
     ``MAX_ITERATIONS`` sweeps, a blow-up or a companion matrix that double
-    precision cannot hold report ``converged=False``.
+    precision cannot hold reports ``converged=False`` rather than returning
+    silent garbage.  ``cfg`` only chooses the arithmetic.
     """
     coeffs = _coefficients(p)
     factors = _square_free_factors(coeffs)
@@ -425,9 +434,6 @@ class _FixedComplex:
     def __abs__(self) -> float:
         return _fixed_abs(self.re, self.im, 1 << self.bits)
 
-    def conjugate(self) -> "_FixedComplex":
-        return _FixedComplex(self.re, -self.im, self.bits)
-
     def __complex__(self) -> complex:
         return complex(_scaled_down(self.re, self.bits), _scaled_down(self.im, self.bits))
 
@@ -467,7 +473,9 @@ def _fixed_point(coeffs, starts, dps: int):
     on the same grid.  The grid keeps ``dps`` significant digits on every
     nonzero root: besides ceil(dps * log2(10)) and a guard, ``bits`` covers
     Cauchy's lower bound |r| >= |c_m| / (|c_m| + max_{k > m} |c_k|) on the
-    nonzero roots r, c_m the lowest nonzero coefficient, and no start.
+    nonzero roots r, where c_m is the lowest nonzero coefficient.  It
+    depends on the coefficients and ``dps`` alone, so any number of starts
+    share it.
     """
     ints = _integer_coefficients(coeffs)[1]
     bits = _grid_bits(ints, dps)
@@ -514,13 +522,14 @@ def _aberth(cs: Sequence, starts: Sequence, tol, max_iterations: int, eps):
     The double-precision route runs it on floats and complex numbers;
     :func:`_fixed_aberth` takes the same steps on the fixed-point grid.
     Returns (roots, converged).  The correction p / (p' - p * sum_j
-    1/(z_i - z_j)) is applied in place, one root at a time.  A root settles
-    when its correction falls below tol * max(1, |z|) or, from the second
-    sweep on, when p(z) is zero to working precision; a settled root stops
-    moving but still repels the others.  A root whose correction has a zero
-    denominator stays active.  A non-finite iterate or two coinciding ones
-    end the iteration unconverged, and so does a sweep after the first that
-    moves no root while some stay active: the next would repeat it exactly.
+    1/(z_i - z_j)) is applied in place, one root at a time; with one start
+    there are no neighbours and it is Newton's step.  A root settles when its
+    correction falls below tol * max(1, |z|) or, from the second sweep on,
+    when p(z) is zero to working precision; a settled root stops moving but
+    still repels the others.  A root whose correction has a zero denominator
+    stays active.  A non-finite iterate or two coinciding ones end the
+    iteration unconverged, and so does a sweep after the first that moves no
+    root while some stay active: the next sweep would repeat it exactly.
     """
     deg = len(cs) - 1
     z = list(starts)
@@ -588,11 +597,14 @@ def _fixed_aberth(terms: Sequence[tuple[int, float]], starts: Sequence[_FixedCom
     """:func:`_aberth` on the 2**-bits grid, with every step on plain integers.
 
     ``terms`` and ``starts`` are as :func:`_fixed_point` puts them on the
-    grid, and each root is a pair of integers.  The evaluation is
-    :func:`_fixed_horner`; the neighbour sum and the correction floor each
-    product and quotient to the grid.  Settling, the noise floor
-    (:func:`_is_noise` with eps = 2**-bits) and every way to end unconverged
-    are :func:`_aberth`'s.  Returns (roots as :class:`_FixedComplex`, converged).
+    grid.  Each root is a pair of integers; the evaluation is
+    :func:`_fixed_horner`, the neighbour sum adds the quotients
+    1 / (z_i - z_j) floored to the grid, and the correction
+    p / (p' - p * sum) floors its product and its quotient the same way:
+    the truncations of two-integer complex arithmetic with no object per
+    operation.  Settling, the noise floor (:func:`_is_noise` with
+    eps = 2**-bits) and every way to end unconverged are :func:`_aberth`'s.
+    Returns (roots as :class:`_FixedComplex`, converged).
     """
     one, two = 1 << bits, 2 * bits
     # not math.ldexp: an underflowing ldexp leaves errno set, and CPython's
@@ -771,12 +783,12 @@ _POLISH_STEPS = 90
 def _polish(q, starts) -> list[complex | None]:
     """Newton-polish each distinct start on the square-free polynomial q.
 
-    q and each finite start go on the grid of :func:`_fixed_point` with
-    ``_POLISH_DPS`` digits; a start may keep the extra digits of a
-    ``ComplexRootSet.working`` root.  Each distinct point runs :func:`_newton`
-    once, its copies reuse the value and its conjugate takes the mirror.  When
-    the points are deg q distinct ones they are taken for all of q's roots,
-    for Newton's error estimate.  Returns the polished value per start, or None.
+    q and the finite starts go on the grid of :func:`_fixed_point` with
+    ``_POLISH_DPS`` digits, a ``ComplexRootSet.working`` start with all its
+    digits.  :func:`_newton` runs once per distinct point; its copies reuse
+    the value and its conjugate takes the mirrored one.  deg q distinct
+    points are taken for all of q's roots in Newton's error estimate.
+    Returns the polished value per start, or None where Newton fails.
     """
     terms, _, bits = _fixed_point(q, (), _POLISH_DPS)
     grid = [_FixedComplex.of(s, bits) if cmath.isfinite(complex(s)) else None for s in starts]
@@ -786,23 +798,20 @@ def _polish(q, starts) -> list[complex | None]:
                if len(distinct) == len(terms) - 1 else [math.inf] * len(distinct))
     polished: dict[tuple[int, int], complex | None] = {}
     for (re, im), spread in zip(distinct, spreads):
-        if im and (re, -im) in polished:
-            mirror = polished[re, -im]
-            polished[re, im] = None if mirror is None else mirror.conjugate()
-        else:
-            polished[re, im] = _newton(terms, re, im, bits, spread)
+        mirror = polished.get((re, -im))
+        polished[re, im] = (_newton(terms, re, im, bits, spread) if mirror is None
+                            else mirror.conjugate())
     return [None if p is None else polished[p] for p in points]
 
 
-def _newton(terms: Sequence[tuple[int, float]], zr: int, zi: int, bits: int,
-            spread: float) -> complex | None:
+def _newton(terms, zr: int, zi: int, bits: int, spread: float) -> complex | None:
     """Newton's method on :func:`_fixed_horner` from (zr + i zi) 2**-bits.
 
-    A root stops at the noise floor (:func:`_is_noise`) from the second
-    evaluation on, or after a step w with |w| or |w|**2 * ``spread`` at most
-    10**-(_POLISH_DPS - 10) max(1, |z|): the error after the step is about
-    w**2 p'' / (2 p'), and p'' / (2 p') is the sum of 1 / (z_i - z_j) over
-    the other roots.  None for p' = 0, divergence or ``_POLISH_STEPS`` steps.
+    z stops at the noise floor (:func:`_is_noise`) from the second evaluation
+    on, or after a step w with |w| or |w|**2 * ``spread`` at most
+    10**-(_POLISH_DPS - 10) max(1, |z|): the error left is about |w**2 p'' /
+    (2 p')|, and p'' / (2 p') = sum_j 1 / (z - z_j) over q's other roots.
+    None for p' = 0, divergence or ``_POLISH_STEPS`` steps.
     """
     one, eps, deg, tol = 1 << bits, 2.0 ** -bits, len(terms) - 1, 10.0 ** -(_POLISH_DPS - 10)
     for step in range(_POLISH_STEPS):
@@ -825,11 +834,11 @@ def _newton(terms: Sequence[tuple[int, float]], zr: int, zi: int, bits: int,
 def refine_all(rootset: ComplexRootSet) -> ComplexRootSet:
     """Newton-polish every root of a root set on its square-free part.
 
-    The polish is :func:`_polish`, from the working-precision roots when the
-    set carries them, moved onto its grid by a bit shift, so digits already
-    found are not won back step by step.  A root that does not converge, or
-    has no finite start, keeps its value.  The result carries the set's
-    ``converged`` flag and source, and no working roots.
+    The polish is :func:`_polish`.  It starts from the working-precision
+    roots when the set carries them, moved onto its grid by a bit shift, so
+    digits already found are not won back step by step.  A root that does
+    not converge, or has no finite start, keeps its value.  The result
+    carries the set's ``converged`` flag and source, and no working roots.
     """
     polished = _polish(square_free_part(rootset.source), rootset.working or rootset.roots)
     roots = tuple(z if p is None else p for z, p in zip(rootset.roots, polished))

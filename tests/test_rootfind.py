@@ -431,8 +431,8 @@ class TestCertifyRoots:
         # about 1e-18 off on the cubic
         assert max(_grid_distance(z, [complex(r) for r in true]) for z in rs.working) < 1e-16
         pair = [z for z in rs.working if abs(complex(z).imag) > 0.5]
-        # exact conjugates: one Newton step per pair, mirrored
-        assert len(pair) == 2 and pair[0] == pair[1].conjugate()
+        # exact conjugates: the imaginary part of each step is cut toward 0
+        assert len(pair) == 2 and (pair[0].re, pair[0].im) == (pair[1].re, -pair[1].im)
         assert rootfind.certify_roots(p, approx).working == ()
 
     def test_square_free_attempt_changes_no_answer(self, monkeypatch):
