@@ -154,6 +154,9 @@ class RealRootVerdict:
     roots: tuple[float, ...] | None = None
 
 
+_NON_REAL = RealRootVerdict(False, "non-real", None)
+
+
 def _check_degree(n: int) -> None:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -370,13 +373,14 @@ def classify_product_real(ks: Sequence[int], p: int) -> RealRootVerdict:
     * two factors of adjacent index with constant +1 (the product plus one
       is a perfect square of an odd-degree cheb_u in sqrt(x)).
 
-    Everything else has at least one conjugate pair.
+    Everything else has at least one conjugate pair and gets the one shared
+    (frozen) non-real verdict, without roots.
     """
-    ks = list(ks)
+    ks = tuple(ks)
     if not ks:
         raise ValueError("factor index list must be nonempty")
-    if any(k < 1 for k in ks):
-        raise ValueError(f"factor indices must be >= 1, got {ks}")
+    if min(ks) < 1:
+        raise ValueError(f"factor indices must be >= 1, got {list(ks)}")
     if p not in (0, 1):
         raise ValueError(f"p must be 0 or 1, got {p}")
 
@@ -406,7 +410,7 @@ def classify_product_real(ks: Sequence[int], p: int) -> RealRootVerdict:
                 vals.extend([r, r])  # every root has multiplicity 2
             return RealRootVerdict(True, "adjacent-pair", tuple(sorted(vals)))
 
-    return RealRootVerdict(False, "non-real", None)
+    return _NON_REAL
 
 
 def product_bound_witness(ks: Sequence[int]) -> float:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,11 +82,13 @@ class RingDigraph:
         return "".join("1" if b else "0" for b in self.reverse_mask)
 
 
-@dataclass(frozen=True)
-class GapDecomposition:
+class GapDecomposition(NamedTuple):
     """Cyclic distances i_1, ..., i_K between the missing reverse arcs.
 
     Empty when no arc is missing or all are; otherwise the gaps sum to n.
+    A tuple (K, gaps): it hashes and compares as one, in C, so it equals
+    the plain tuple with the same entries, and the two empty cases differ
+    by K alone (``GapDecomposition(0, ()) != GapDecomposition(n, ())``).
     """
 
     K: int
@@ -124,9 +127,8 @@ def decompose(g: RingDigraph) -> GapDecomposition:
     k = len(absent)
     if k == 0 or k == g.n:
         return GapDecomposition(k, ())
-    gaps = [b - a for a, b in zip(absent, absent[1:])]
-    gaps.append(absent[0] + g.n - absent[-1])
-    return GapDecomposition(k, tuple(gaps))
+    ends = absent[1:] + [absent[0] + g.n]
+    return GapDecomposition(k, tuple([b - a for a, b in zip(absent, ends)]))
 
 
 def char_poly(g: RingDigraph) -> IntPolynomial:
@@ -154,6 +156,10 @@ def closed_form_spectrum(g: RingDigraph) -> list[complex] | None:
     return None if spectrum is None else list(spectrum)
 
 
+#: the verdicts without a closed form, shared by every such mask (frozen)
+_SPLIT = Classification(True, CASE_SPLIT)
+_MULTI_GAP = Classification(True, CASE_MULTI_GAP)
+
 #: case labels of :func:`ringspec.polycore.classify_product_real` for the
 #: three all-real gap shapes
 _REAL_CASES = {
@@ -176,7 +182,8 @@ def classify_exact(g: RingDigraph) -> Classification:
       :func:`ringspec.polycore.classify_product_real` decides it.  The
       spectrum is real for one gap, or two gaps differing by at most one;
       the eigenvalues are then the squares of the product's n largest
-      roots.  Every other mask has a conjugate pair and no formula.
+      roots.  Every other mask has a conjugate pair and no formula, and
+      gets one shared verdict per case.
     """
     n, dec = g.n, g.decomposition
     if dec.K == n:
@@ -188,7 +195,7 @@ def classify_exact(g: RingDigraph) -> Classification:
             complex(4 * math.sin(math.pi * k / n) ** 2, 0.0) for k in range(n)))
     verdict = classify_product_real(dec.gaps, (n + 1) % 2)
     if not verdict.all_real:
-        return Classification(True, CASE_SPLIT if dec.K == 2 else CASE_MULTI_GAP)
+        return _SPLIT if dec.K == 2 else _MULTI_GAP
     return Classification(False, _REAL_CASES[verdict.case_label],
                           tuple(complex(r * r, 0.0) for r in verdict.roots[n:]))
 
@@ -230,8 +237,9 @@ def exhaustive_scan(n: int) -> dict:
     """Compare the exact classifier with the Sturm verdict over all 2**n masks.
 
     Each mask is built, and so decomposed, once.  Both verdicts are memoized
-    per gap decomposition: :func:`classify_exact` runs on one mask of every
-    distinct gap decomposition, which is all it reads.  Masks with the same
+    per gap decomposition, a tuple that hashes and compares in C:
+    :func:`classify_exact` runs on one mask of every distinct gap
+    decomposition, which is all it reads.  Masks with the same
     gap multiset share a characteristic polynomial (the product of Z factors
     does not depend on gap order), so the second verdict,
     :func:`ringspec.rootfind.spectral_verdict` on the matrix's own polynomial

@@ -858,12 +858,12 @@ def char_poly_exact(matrix) -> IntPolynomial:
     raises TypeError instead of being truncated.  Returns a monic polynomial
     of degree n with ascending coefficients.
     """
-    rows = [[operator.index(v) for v in row] for row in matrix]
+    rows = [list(map(operator.index, row)) for row in matrix]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    if n >= 3 and all(v == 0 or (j - i) % n in (0, 1, n - 1)
-                      for i, row in enumerate(rows) for j, v in enumerate(row)):
+    # row i is ring-shaped when its entries i + 2, ..., i + n - 2 (mod n) are 0
+    if n >= 3 and not any(any((row * 2)[i + 2:i + n - 1]) for i, row in enumerate(rows)):
         return IntPolynomial(_transfer_char_poly(rows))
     return IntPolynomial(_faddeev_leverrier(rows))
 
@@ -878,22 +878,24 @@ def _transfer_char_poly(rows: list[list[int]]) -> list[int]:
         T_i = [[a_i, -b_(i-1) c_(i-1)], [1, 0]].
 
     The product is built one factor at a time; its two columns each follow
-    the three-term recurrence p_i = a_i p_(i-1) - b_(i-1) c_(i-1) p_(i-2),
-    one O(n) pass per factor on plain lists.  Only +, - and * are used, so
-    the same code runs over ``Fraction`` entries.
+    the three-term recurrence p_i = a_i p_(i-1) - b_(i-1) c_(i-1) p_(i-2)
+    on plain coefficient lists that grow with the degree (after i factors
+    no entry holds more than i + 1 coefficients), so the whole product costs
+    about n**2 coefficient operations.  Only +, - and * are used, so the
+    same code runs over ``Fraction`` entries.
     """
     n = len(rows)
     up = [rows[i][(i + 1) % n] for i in range(n)]    # -b_i
     down = [rows[(i + 1) % n][i] for i in range(n)]  # -c_i
-    zero = [0] * (n + 1)
-    # columns (top, bottom) of T_i ... T_1, starting from the identity
-    top1, bot1 = [1] + zero[1:], zero
-    top2, bot2 = zero, [1] + zero[1:]
+    # columns (top, bottom) of T_i ... T_1, starting from the identity's;
+    # each list is as long as its degree needs, zip stops at the shortest
+    columns = [([1], []), ([], [1])]
     for i in range(n):
         m, d = rows[i][i], up[i - 1] * down[i - 1]
-        top1, bot1 = [s - m * t - d * u for s, t, u in zip([0] + top1, top1, bot1)], top1
-        top2, bot2 = [s - m * t - d * u for s, t, u in zip([0] + top2, top2, bot2)], top2
-    coeffs = [t + u for t, u in zip(top1, bot2)]
+        columns = [([s - m * t - d * u for s, t, u in zip([0] + top, top + [0], bot + [0, 0])],
+                    top) for top, bot in columns]
+    (top1, _), (_, bot2) = columns
+    coeffs = [t + u for t, u in zip(top1, bot2 + [0, 0])]
     # (-1)**(n+1) (prod b + prod c) = -(prod up + prod down)
     coeffs[0] -= math.prod(up) + math.prod(down)
     return coeffs

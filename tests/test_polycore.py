@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -424,12 +425,20 @@ class TestProductClassifier:
                 assert exact_abs_at(h, r) < 1e-9, (ks, p, r)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            classify_product_real([], 0)
-        with pytest.raises(ValueError):
-            classify_product_real([0, 2], 0)
-        with pytest.raises(ValueError):
-            classify_product_real([2], 3)
+        for ks, p in (([], 0), ((), 1), ([0, 2], 0), ([3, -1], 1), ((2, 2, 0), 0), ([-4], 1),
+                      ([2], 3), ([2], -1), ([1, 1, 1], 2), ([2, 3], 2)):
+            with pytest.raises(ValueError):
+                classify_product_real(ks, p)
+
+    def test_non_real_verdict_is_shared_and_frozen(self):
+        verdict = classify_product_real([1, 1, 1], 0)
+        assert verdict is classify_product_real((2, 3), 1) is classify_product_real([2, 2], 0)
+        assert (verdict.all_real, verdict.case_label, verdict.roots) == (False, "non-real", None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            verdict.all_real = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            classify_product_real([3], 0).roots = ()
+        assert classify_product_real([1, 1, 1], 0).all_real is False
 
 
 class TestBoundWitness:

@@ -138,6 +138,20 @@ class TestDecompose:
             "True, True, True, True, False))"
         assert [f.name for f in dataclasses.fields(g)] == ["n", "reverse_mask"]
 
+    def test_decompositions_are_tuples_of_k_and_ordered_gaps(self):
+        for n in range(3, 11):
+            for mask in all_masks(n):
+                absent = [j for j in range(n) if not mask[j]]
+                gaps = tuple((b - a) % n or n for a, b in zip(absent, absent[1:] + absent[:1]))
+                k = len(absent)
+                dec = decompose(RingDigraph(n, mask))
+                assert dec == (k, gaps if 0 < k < n else ()), (n, mask)
+                assert hash(dec) == hash((dec.K, dec.gaps))
+            # the two masks without gaps differ by K alone
+            assert decompose(RingDigraph(n, (True,) * n)) == GapDecomposition(0, ()) \
+                != GapDecomposition(n, ()) == decompose(RingDigraph(n, (False,) * n))
+        assert GapDecomposition(2, (5, 3)) != GapDecomposition(2, (3, 5))
+
     def test_gaps_sum_to_n(self):
         for n in (5, 7, 10):
             for mask in all_masks(n):
@@ -293,6 +307,17 @@ class TestClassifier:
         g = RingDigraph.from_mask_string(8, "10011010")
         c3 = classify_exact(g)
         assert c3.case == CASE_MULTI_GAP and c3.essentially_cyclic
+
+    def test_verdicts_without_a_formula_are_shared_and_frozen(self):
+        split = classify_exact(RingDigraph.from_mask_string(7, "0101111"))
+        multi = classify_exact(RingDigraph.from_mask_string(8, "10011010"))
+        assert split is classify_exact(RingDigraph.from_mask_string(9, "011111101"))
+        assert multi is classify_exact(RingDigraph.from_mask_string(10, "0110111010"))
+        for verdict in (split, multi):
+            assert verdict.closed_form_spectrum is None
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                verdict.essentially_cyclic = False
+        assert (split.case, multi.case) == (CASE_SPLIT, CASE_MULTI_GAP)
 
     def test_balanced_spectrum_formula(self):
         # gaps (n/2, n/2): 4cos^2(pi k/n) and 4cos^2(pi k/(n+2)), k = 1..n/2

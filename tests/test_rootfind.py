@@ -899,12 +899,23 @@ class TestCharPolyExact:
 
     def test_transfer_route_matches_faddeev_leverrier(self):
         rng = random.Random(29)
-        for _ in range(3000):
-            n = rng.randint(3, 9)
+        # 3000 small matrices, then 200 at n = 10..40: by turns unconstrained,
+        # every diagonal entry 0, every product m_(i,i+1) m_(i+1,i) 0, or both
+        for trial in range(3200):
+            n = rng.randint(3, 9) if trial < 3000 else rng.randint(10, 40)
             m = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in (i - 1, i, i + 1):
                     m[i][j % n] = rng.randint(-5, 5)
+            if trial >= 3000 and trial % 2:
+                for i in range(n):
+                    m[i][i] = 0
+            if trial >= 3000 and trial % 4 >= 2:
+                for i in range(n):
+                    if rng.random() < 0.5:
+                        m[i][(i + 1) % n] = 0
+                    else:
+                        m[(i + 1) % n][i] = 0
             expected = rootfind._faddeev_leverrier(m)
             assert rootfind._transfer_char_poly(m) == expected, m
             assert list(char_poly_exact(m).coefficients) == expected, m
@@ -933,10 +944,20 @@ class TestCharPolyExact:
         off_pattern = laplacian(RingDigraph.from_mask_string(6, "101101"))
         off_pattern[1][3] = 3  # one nonzero off the three cyclic diagonals
         small = [[[3]], [[1, 2], [3, 4]], [[0, -1], [-1, 0]]]
-        expected = [rootfind._faddeev_leverrier(m) for m in [off_pattern] + small]
-        assert expected[1:] == [[-3, 1], [-2, -5, 1], [-1, 0, 1]]
+        # each position off the cyclic diagonals, alone, wrapping ones included
+        single = []
+        for n in (4, 5, 7):
+            for i in range(n):
+                for j in range(n):
+                    if (j - i) % n not in (0, 1, n - 1):
+                        m = laplacian(RingDigraph(n, [k % 2 for k in range(n)]))
+                        m[i][j] = 2
+                        single.append(m)
+        assert len(single) == 4 + 10 + 28
+        expected = [rootfind._faddeev_leverrier(m) for m in [off_pattern] + small + single]
+        assert expected[1:4] == [[-3, 1], [-2, -5, 1], [-1, 0, 1]]
         monkeypatch.setattr(rootfind._transfer_char_poly, "__code__", _unavailable.__code__)
-        for m, cs in zip([off_pattern] + small, expected):
+        for m, cs in zip([off_pattern] + small + single, expected):
             assert list(char_poly_exact(m).coefficients) == cs, m
         with pytest.raises(ValueError):
             char_poly_exact([[1, 2, 3], [4, 5, 6]])
