@@ -26,21 +26,12 @@ all simple, so Newton converges quadratically even where p has a double or
 triple root.  :func:`refine_all` polishes a whole root set with it, starting
 from the working-precision roots with all their digits.
 
-:func:`aberth_roots`, simultaneous Aberth-Ehrlich iteration in double or in
-fixed point, is no program path: it stays as the tests' oracle, and only its
-fixed-point sweep serves the program, in :func:`_refined`.
-One Aberth iteration serves both arithmetics, on Yun's factors, each solved
-from its own companion matrix's eigenvalues: in Python complex or, when the
-config sets a working precision in decimal digits, in fixed point, where each
-iterate is two Python integers on a 2**-bits grid and the sweep
-(:func:`_fixed_aberth`) computes on those integers directly, flooring every
-product and quotient to the grid and keeping every sum exact;
-:class:`_FixedComplex` only carries its starts and roots.  Double precision is
-enough for degrees up to roughly 12; beyond that the monomial basis becomes
-badly conditioned near the ends of the root interval (evaluation noise grows
-like 6**degree).  Every evaluation goes through one Horner pass that also
-bounds its own rounding noise, and the iteration stops a root at that noise
-floor.  :func:`_polish` runs Newton's method on the same Horner pass.
+The Aberth-Ehrlich sweep (:func:`_fixed_aberth`) and Newton's method
+(:func:`_newton`) both run in fixed point: each iterate is two Python
+integers on a 2**-bits grid, every product and quotient is floored to the
+grid and every sum is exact; :class:`_FixedComplex` only carries starts and
+roots.  Both evaluate through one Horner pass (:func:`_fixed_horner`) that
+also bounds its own rounding noise, and stop a root at that noise floor.
 
 Whether p has a non-real root at all is decided without any root:
 :func:`spectral_verdict` counts p's distinct real roots by Sturm's theorem,
@@ -53,7 +44,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
@@ -62,12 +52,6 @@ from typing import Sequence
 import numpy as np
 
 from .polycore import IntPolynomial
-
-#: A root settles when its Aberth correction falls below this, relative to
-#: max(1, |z|).
-CONVERGENCE_TOL = 1e-13
-#: Sweeps :func:`aberth_roots` runs before it reports ``converged=False``.
-MAX_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -315,84 +299,18 @@ def _newton_disc(a: list[int], x: int, y: int, bits: int) -> _Disc:
     return _Disc(x, y, bits, radius, (pr, pi), (qr, qi))
 
 
-def _horner(cs: Sequence, z):
-    """p(z), p'(z) and pbar(|z|) = sum |c_k| |z|**k in one synthetic-division pass.
-
-    ``cs`` holds ascending coefficients.  p and p' are computed in the
-    arithmetic of ``cs`` and ``z`` (Python float and complex;
-    :func:`_fixed_horner` is the same pass in fixed point); pbar only scales
-    the rounding noise, so it is accumulated in double.
-    """
-    az = float(abs(z))
-    pv, dv, pbar = cs[-1], 0, abs(float(cs[-1]))
-    for c in cs[-2::-1]:
-        dv = dv * z + pv
-        pv = pv * z + c
-        pbar = pbar * az + abs(float(c))
-    return pv, dv, pbar
-
-
 def _is_noise(pv, pbar, deg: int, eps) -> bool:
     """True when |p(z)| is within the rounding noise of evaluating p at z.
 
-    In floating point Horner's rounding error is a small multiple of
-    deg * eps * pbar(|z|), and 4 (deg + 1) covers complex arithmetic.  In
-    fixed point with eps = 2**-bits each product errs by less than
-    sqrt(2) * eps, absolutely, so p(z) errs by less than
+    With eps = 2**-bits each product of :func:`_fixed_horner` errs by less
+    than sqrt(2) * eps, absolutely, so p(z) errs by less than
     sqrt(2) * eps * sum_{k < deg} |z|**k.  With integer coefficients and
-    p(0) != 0, pbar(|z|) >= max(1, |z|)**deg, so the same bound covers that
-    too; where p(0) = 0 it can fall short at |z| well below 1 / deg, and a
-    root there settles by its step size instead.  An overflowed pbar settles
-    nothing.
+    p(0) != 0, pbar(|z|) >= max(1, |z|)**deg, so 4 (deg + 1) * eps * pbar
+    covers that; where p(0) = 0 it can fall short at |z| well below 1 / deg,
+    and a root there settles by its step size instead.  An overflowed pbar
+    settles nothing.
     """
     return abs(pv) <= 4 * (deg + 1) * eps * pbar < math.inf
-
-
-def aberth_roots(p, cfg: RootFinderConfig = RootFinderConfig()) -> ComplexRootSet:
-    """All complex roots of p by simultaneous Aberth-Ehrlich iteration.
-
-    The tests' oracle: no program path calls it (:func:`certify_roots` is the
-    program's route to roots).
-    Each factor of :func:`_square_free_factors` is solved from its own
-    starting points and each of its roots repeated by its multiplicity, so
-    the iteration only ever meets simple roots (on a repeated root Aberth
-    converges only linearly, and in double precision leaves it split by
-    about sqrt(eps)).  A square-free p is solved from its own coefficients.
-    The starting points are the eigenvalues of the companion matrix
-    (``numpy.roots``), each nudged off the real axis by a different amount:
-    a conjugate-symmetric start set stays symmetric under the iteration and
-    can hold a conjugate pair on the real axis.  The iteration runs in double
-    precision, or in fixed point on the exact integer coefficients of each
-    factor with ``cfg.working_dps`` significant digits on every nonzero root
-    (:func:`_fixed_point`), which also keeps the roots at working precision
-    in ``working``.  A root settles when its
-    correction falls below ``CONVERGENCE_TOL`` * max(1, |z|) or, once it has
-    taken a step, when |p(z)| reaches the evaluation-noise floor; running
-    ``MAX_ITERATIONS`` sweeps, a blow-up or a companion matrix that double
-    precision cannot hold reports ``converged=False`` rather than returning
-    silent garbage.  ``cfg`` only chooses the arithmetic.
-    """
-    coeffs = _coefficients(p)
-    factors = _square_free_factors(coeffs)
-    if [k for _, k in factors] == [1]:
-        factors = [(coeffs, 1)]
-    fixed = cfg.working_dps is not None
-    found, converged = [], True
-    for factor, multiplicity in factors:
-        zs = _companion_starts(factor)
-        if not all(map(cmath.isfinite, zs)):  # a factor beyond double range
-            ok = False
-        else:
-            if fixed:
-                terms, zs, bits = _fixed_point(factor, zs, cfg.working_dps)
-                zs, ok = _fixed_aberth(terms, zs, bits, CONVERGENCE_TOL, MAX_ITERATIONS)
-            else:
-                zs, ok = _aberth([float(c) for c in factor], zs, CONVERGENCE_TOL,
-                                 MAX_ITERATIONS, sys.float_info.epsilon)
-        found += [z for z in zs for _ in range(multiplicity)]
-        converged = converged and ok
-    roots = tuple(complex(z) for z in found)
-    return ComplexRootSet(roots, converged, coeffs, tuple(found) if fixed else ())
 
 
 class _FixedComplex:
@@ -496,19 +414,6 @@ def _grid_bits(ints: list[int], dps: int) -> int:
 _START_NUDGE = 1e-10
 
 
-def _companion_starts(coeffs: tuple) -> list[complex]:
-    """Companion-matrix eigenvalues, start k moved up by (k + 1) nudges.
-
-    NaN starts stand for a companion matrix that double precision cannot hold.
-    """
-    try:
-        with np.errstate(all="ignore"):
-            eigs = np.roots([float(c) for c in reversed(coeffs)])
-    except (np.linalg.LinAlgError, OverflowError):  # beyond double range
-        return [complex(math.nan, math.nan)] * (len(coeffs) - 1)
-    return _nudged(eigs)
-
-
 def _nudged(zs) -> list[complex]:
     """Each z moved up by (k + 1) nudges, k its index, so that no two starts
     coincide and no start set is symmetric about the real axis."""
@@ -516,63 +421,12 @@ def _nudged(zs) -> list[complex]:
             for k, z in enumerate(zs)]
 
 
-def _aberth(cs: Sequence, starts: Sequence, tol, max_iterations: int, eps):
-    """Aberth-Ehrlich iteration over the number type of ``cs`` and ``starts``.
-
-    The double-precision route runs it on floats and complex numbers;
-    :func:`_fixed_aberth` takes the same steps on the fixed-point grid.
-    Returns (roots, converged).  The correction p / (p' - p * sum_j
-    1/(z_i - z_j)) is applied in place, one root at a time; with one start
-    there are no neighbours and it is Newton's step.  A root settles when its
-    correction falls below tol * max(1, |z|) or, from the second sweep on,
-    when p(z) is zero to working precision; a settled root stops moving but
-    still repels the others.  A root whose correction has a zero denominator
-    stays active.  A non-finite iterate or two coinciding ones end the
-    iteration unconverged, and so does a sweep after the first that moves no
-    root while some stay active: the next sweep would repeat it exactly.
-    """
-    deg = len(cs) - 1
-    z = list(starts)
-    active = range(len(z))
-    for sweep in range(max_iterations):
-        still = []
-        moved = False
-        for i in active:
-            zi = z[i]
-            pv, dv, pbar = _horner(cs, zi)
-            # the starts are perturbed on purpose, so every root takes one
-            # step before the noise floor may settle it
-            if sweep and _is_noise(pv, pbar, deg, eps):
-                continue
-            try:
-                s = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
-            except ZeroDivisionError:
-                return z, False
-            denom = dv - pv * s
-            if denom == 0:  # no step from here; the neighbours may move
-                still.append(i)
-                continue
-            w = pv / denom
-            zn = zi - w
-            if not abs(zn) < math.inf:
-                return z, False
-            z[i] = zn
-            moved = True
-            if abs(w) >= tol * max(1, abs(zn)):
-                still.append(i)
-        active = still
-        if not active:
-            return z, True
-        if sweep and not moved:
-            return z, False
-    return z, False
-
-
 def _fixed_horner(terms: Sequence[tuple[int, float]], zr: int, zi: int, bits: int, one: int):
-    """:func:`_horner` at z = (zr + i zi) * 2**-bits, on plain integers.
+    """p(z), p'(z) and pbar(|z|) = sum |c_k| |z|**k in one pass on plain integers.
 
-    ``terms`` holds (c_k * 2**bits, |c_k|) pairs, descending from the leading
-    coefficient, and ``one`` is 2**bits.  Returns (pr, pi, dr, di, pbar) with
+    z is (zr + i zi) * 2**-bits, ``terms`` holds (c_k * 2**bits, |c_k|)
+    pairs, descending from the leading coefficient, and ``one`` is 2**bits.
+    Returns (pr, pi, dr, di, pbar) with
     p(z) = (pr + i pi) * 2**-bits and p'(z) = (dr + i di) * 2**-bits: each
     product is floored to the grid, an error below 2**-bits per component,
     and each sum is exact.  pbar(|z|) is accumulated in double.
@@ -594,7 +448,7 @@ def _on_grid(zr: list[int], zi: list[int], bits: int) -> list[_FixedComplex]:
 
 def _fixed_aberth(terms: Sequence[tuple[int, float]], starts: Sequence[_FixedComplex],
                   bits: int, tol: float, max_iterations: int):
-    """:func:`_aberth` on the 2**-bits grid, with every step on plain integers.
+    """Aberth-Ehrlich iteration on the 2**-bits grid, every step on plain integers.
 
     ``terms`` and ``starts`` are as :func:`_fixed_point` puts them on the
     grid.  Each root is a pair of integers; the evaluation is
@@ -602,8 +456,14 @@ def _fixed_aberth(terms: Sequence[tuple[int, float]], starts: Sequence[_FixedCom
     1 / (z_i - z_j) floored to the grid, and the correction
     p / (p' - p * sum) floors its product and its quotient the same way:
     the truncations of two-integer complex arithmetic with no object per
-    operation.  Settling, the noise floor (:func:`_is_noise` with
-    eps = 2**-bits) and every way to end unconverged are :func:`_aberth`'s.
+    operation.  The correction is applied in place, one root at a time; with
+    one start it is Newton's step.  A root settles when its correction falls
+    below tol * max(1, |z|) or, from the second sweep on, when p(z) is at the
+    noise floor (:func:`_is_noise` with eps = 2**-bits); a settled root stops
+    moving but still repels the others, and one whose correction has a zero
+    denominator stays active.  A non-finite iterate, two coinciding ones, a
+    sweep after the first that moves no root while some stay active, or
+    ``max_iterations`` sweeps end the iteration unconverged.
     Returns (roots as :class:`_FixedComplex`, converged).
     """
     one, two = 1 << bits, 2 * bits

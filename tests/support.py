@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 from fractions import Fraction
 
+import mpmath
+
+from ringspec import rootfind
 from ringspec.polycore import IntPolynomial
 
 
@@ -50,3 +55,54 @@ def exact_abs_at(p: IntPolynomial, x: float) -> float:
 def dps_for(degree: int) -> int:
     """Working precision that keeps root clusters far below 1e-9."""
     return 30 + degree
+
+
+def polyroots(p) -> tuple:
+    """p's roots by mpmath.polyroots at 120 digits, one square-free factor at a time.
+
+    The factors are Yun's (``rootfind._square_free_factors``), each root
+    listed as often as its multiplicity.  Computed once per polynomial; a
+    degree-20 factor takes about a second.
+    """
+    return _polyroots(rootfind._coefficients(p))
+
+
+@functools.cache
+def _polyroots(coeffs: tuple) -> tuple:
+    roots = []
+    with mpmath.workdps(120):
+        for factor, k in rootfind._square_free_factors(coeffs):
+            found = mpmath.polyroots([mpmath.mpf(c) for c in reversed(factor)],
+                                     maxsteps=400, extraprec=600)
+            roots += [r for r in found for _ in range(k)]
+    return tuple(roots)
+
+
+def newton_roots(p, starts, dps: int = 150, steps: int = 3) -> tuple[list, list[float]]:
+    """p's roots by mpmath's Newton method, each proved by its Newton disc.
+
+    The starts are fixed-point numbers (re + i im) * 2**-bits, as
+    ``ComplexRootSet.working`` holds them, taken exactly.  Each takes
+    ``steps`` Newton steps at ``dps`` digits; the disc of radius
+    deg p * |p / p'| about the point it reaches holds a root of p.  Asserts
+    that there is one start per degree of p and that the discs are pairwise
+    disjoint, so that each holds exactly one root and p is square-free.
+    Returns the points, as mpmath numbers, and the discs' radii.
+    """
+    coeffs = rootfind._coefficients(p)
+    d = len(coeffs) - 1
+    assert len(starts) == d, f"{len(starts)} starts for degree {d}"
+    with mpmath.workdps(dps):
+        cs = [mpmath.mpf(c) for c in reversed(coeffs)]
+        points, radii = [], []
+        for z in starts:
+            z = mpmath.mpc(mpmath.ldexp(z.re, -z.bits), mpmath.ldexp(z.im, -z.bits))
+            for _ in range(steps):
+                value, slope = mpmath.polyval(cs, z, derivative=True)
+                z -= value / slope
+            value, slope = mpmath.polyval(cs, z, derivative=True)
+            points.append(z)
+            radii.append(d * abs(value / slope))
+        for (z, r), (w, s) in itertools.combinations(zip(points, radii), 2):
+            assert abs(z - w) > r + s, f"discs about {complex(z)} and {complex(w)} overlap"
+        return points, [float(r) for r in radii]

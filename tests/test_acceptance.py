@@ -44,7 +44,7 @@ from ringspec.ringgraph import (
 )
 from ringspec.rootfind import (
     RootFinderConfig,
-    aberth_roots,
+    certify_roots,
     char_poly_exact,
     char_poly_float,
     refine_all,
@@ -62,20 +62,17 @@ from ringspec.weighted import (
 )
 from support import match_multisets, spectrum_tol
 
-CFG = RootFinderConfig()
-
 
 def accurate_roots(poly):
-    """Numeric roots fit for 1e-9 comparisons at any degree in range.
+    """Certified roots fit for 1e-9 comparisons at any degree in range.
 
-    Double precision suffices through degree ~12; beyond that the monomial
-    basis is too ill-conditioned and the same Aberth iteration runs in fixed
-    point at working precision.
-    Every root is Newton-polished on the exact coefficients afterwards.
+    The companion matrix's eigenvalues are certified against the exact
+    polynomial by Newton discs, with a working precision of 30 + degree
+    digits for the roots that double cannot tell apart; every root is
+    Newton-polished on the exact coefficients afterwards.
     """
-    deg = poly.degree
-    cfg = CFG if deg <= 12 else RootFinderConfig(working_dps=30 + deg)
-    rs = aberth_roots(poly, cfg)
+    approximations = np.roots([float(c) for c in reversed(poly.coefficients)])
+    rs = certify_roots(poly, approximations, RootFinderConfig(working_dps=30 + poly.degree))
     assert rs.converged
     return refine_all(rs)
 

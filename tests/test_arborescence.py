@@ -22,8 +22,7 @@ from ringspec.arborescence import (
 )
 from ringspec.polycore import z_poly
 from ringspec.ringgraph import RingDigraph, arcs, classify_exact, laplacian
-from ringspec.rootfind import RootFinderConfig, aberth_roots, refine_all
-from support import exact_abs_at, match_multisets
+from support import exact_abs_at, match_multisets, polyroots
 
 
 def two_gap_digraph(n: int, i: int) -> RingDigraph:
@@ -363,11 +362,10 @@ class TestPathMatrix:
                 assert exact_abs_at(poly, r) < 1e-9, n
 
     def test_numeric_roots_match_closed_form(self):
-        # high-precision path; degree-40 sweep lives in the acceptance suite
+        # mpmath's roots; the degree-40 sweep lives in the acceptance suite
         for n in (3, 8, 14):
             poly, roots = path_matrix_spectrum(n)
-            rs = refine_all(aberth_roots(poly, RootFinderConfig()))
-            match_multisets(roots, rs.roots, 1e-9)
+            match_multisets(roots, polyroots(poly), 1e-9)
 
     def test_path_spectrum_differs_from_cycle_spectrum(self):
         # the path matrix is not the cycle Laplacian: spectra differ at n=4

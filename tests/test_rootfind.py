@@ -1,9 +1,11 @@
-"""Tests for the numeric oracle: Aberth roots, refinement, exact char polys."""
+"""Tests for the numeric oracle: certified roots, the fixed-point Aberth sweep,
+refinement and exact char polys."""
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
@@ -24,35 +26,45 @@ from ringspec.ringgraph import (
 )
 from ringspec.rootfind import (
     RootFinderConfig,
-    aberth_roots,
+    certify_roots,
     char_poly_exact,
     char_poly_float,
     refine_all,
     spectral_verdict,
     square_free_part,
 )
-from support import match_multisets
+from support import match_multisets, newton_roots, polyroots
 
 CFG = RootFinderConfig()
 
 
 def _count_horner(monkeypatch) -> list[int]:
-    """Count Horner evaluations in either arithmetic; the count is the list's one entry.
-
-    Double precision evaluates with rootfind._horner, the fixed-point
-    iteration with rootfind._fixed_horner.
-    """
+    """Count rootfind._fixed_horner evaluations; the count is the list's one entry."""
     calls = [0]
+    horner = rootfind._fixed_horner
 
-    def counting(horner):
-        def counted(*args):
-            calls[0] += 1
-            return horner(*args)
-        return counted
+    def counted(*args):
+        calls[0] += 1
+        return horner(*args)
 
-    for name in ("_horner", "_fixed_horner"):
-        monkeypatch.setattr(rootfind, name, counting(getattr(rootfind, name)))
+    monkeypatch.setattr(rootfind, "_fixed_horner", counted)
     return calls
+
+
+def _approx(p) -> list[complex]:
+    """The companion matrix's eigenvalues: approximations of p's roots in double."""
+    return list(np.roots([float(c) for c in reversed(rootfind._coefficients(p))]))
+
+
+def _sweep(p, dps: int, sweeps: int = rootfind._REFINE_SWEEPS):
+    """(roots, converged) of the fixed-point Aberth sweep on p at ``dps`` digits.
+
+    As :func:`rootfind._refined` runs it: on p's exact coefficients, from
+    the companion matrix's eigenvalues nudged apart, until every step falls
+    below 2**-128 or p(z) reaches the noise floor.
+    """
+    terms, zs, bits = rootfind._fixed_point(p, rootfind._nudged(_approx(p)), dps)
+    return rootfind._fixed_aberth(terms, zs, bits, 2.0 ** -rootfind._REFINED_BITS, sweeps)
 
 
 def _residual(p, z: complex) -> float:
@@ -81,8 +93,6 @@ def _polished(p, starts) -> tuple:
 
 class TestConfig:
     def test_defaults(self):
-        assert rootfind.CONVERGENCE_TOL == 1e-13
-        assert rootfind.MAX_ITERATIONS == 500
         # the report's threshold lives with its only reader
         assert dynamics.IMAG_THRESHOLD == 1e-6
         # the working precision is the one setting a caller chooses
@@ -91,39 +101,44 @@ class TestConfig:
 
 
 class TestAberth:
+    """The fixed-point Aberth sweep, and the certified roots it backs up."""
+
     def test_quadratic_with_imaginary_pair(self):
-        rs = aberth_roots(IntPolynomial([1, 0, 1]), CFG)
-        assert rs.converged
-        match_multisets([1j, -1j], rs.roots, 1e-12)
+        roots, converged = _sweep(IntPolynomial([1, 0, 1]), 30)
+        assert converged
+        match_multisets([1j, -1j], roots, 1e-12)
 
     def test_z3_plus_one(self):
-        rs = aberth_roots(poly_shift_const(z_poly(3), 1), CFG)
+        p = poly_shift_const(z_poly(3), 1)
+        rs = certify_roots(p, _approx(p))
+        assert rs.converged
         match_multisets([0, 2, 3], rs.roots, 1e-9)
 
     def test_z2_squared_minus_one(self):
         p = poly_shift_const(poly_mul(z_poly(2), z_poly(2)), -1)
-        rs = aberth_roots(p, CFG)
+        rs = certify_roots(p, _approx(p))
+        assert rs.converged
         match_multisets([0, 1, 2, 3], rs.roots, 1e-9)
 
     def test_degree_one_and_degenerate_input(self):
-        rs = aberth_roots([3.0, 2.0], CFG)
-        assert rs.roots[0] == pytest.approx(-1.5)
+        rs = certify_roots([3.0, 2.0], [-1.4])
+        assert rs.converged and rs.roots[0] == pytest.approx(-1.5)
         with pytest.raises(ValueError):
-            aberth_roots([1.0], CFG)
+            certify_roots([1.0], [])
         with pytest.raises(ValueError):
-            aberth_roots([1.0, 0.0], CFG)
+            certify_roots([1.0, 0.0], [0.0])
 
-    def test_non_convergence_is_flagged(self, monkeypatch):
-        monkeypatch.setattr(rootfind, "MAX_ITERATIONS", 1)
-        rs = aberth_roots(z_poly(9), CFG)
-        assert rs.converged is False
+    def test_non_convergence_is_flagged(self):
+        # one sweep from the companion eigenvalues leaves Z_9's roots unsettled
+        roots, converged = _sweep(z_poly(9), 30, sweeps=1)
+        assert converged is False and len(roots) == 9
 
     def test_residual_bound(self):
-        # every converged root satisfies |p(z)| <= 1e-9 sum|a| max(1,|z|)^deg
+        # every certified root satisfies |p(z)| <= 1e-9 sum|a| max(1,|z|)^deg
         for poly in (z_poly(8), poly_shift_const(z_poly(12), -1),
                      IntPolynomial([5, 0, 0, 1]), char_poly_exact(laplacian(
                          RingDigraph.from_mask_string(9, "110101011")))):
-            rs = aberth_roots(poly, CFG)
+            rs = certify_roots(poly, _approx(poly))
             assert rs.converged
             assert max(_residual(poly, z) for z in rs.roots) <= 1e-9
 
@@ -133,7 +148,7 @@ class TestAberth:
             coeffs = rng.integers(-9, 10, size=rng.integers(3, 9)).tolist()
             if coeffs[-1] == 0:
                 coeffs[-1] = 1
-            rs = aberth_roots(coeffs, CFG)
+            rs = certify_roots(coeffs, _approx(coeffs))
             if not rs.converged:
                 continue
             conj = [z.conjugate() for z in rs.roots]
@@ -145,7 +160,7 @@ class TestAberth:
             n = int(rng.integers(2, 7))
             m = rng.integers(-4, 5, size=(n, n)).tolist()
             p = char_poly_exact(m)
-            rs = aberth_roots(p, CFG)
+            rs = certify_roots(p, np.linalg.eigvals(np.array(m, dtype=float)))
             if not rs.converged:
                 continue
             trace = sum(m[i][i] for i in range(n))
@@ -161,25 +176,35 @@ class TestAberth:
         for _ in range(20):
             n = int(rng.integers(3, 11))
             mask = rng.integers(0, 2, size=n).astype(bool).tolist()
-            rs = aberth_roots(char_poly_exact(laplacian(RingDigraph(n, mask))), CFG)
+            rs = spectrum_numeric(RingDigraph(n, mask))
+            assert rs.converged
             assert all(abs(z) <= 4 + 1e-6 for z in rs.roots)
 
     def test_working_precision_path_on_ill_conditioned_input(self):
         # Z_25's extreme roots are hopeless in double precision from the
-        # monomial basis; the mp path recovers them to ~1e-15
+        # monomial basis; the sweep at 55 digits recovers them to ~1e-15
         n = 25
-        rs = aberth_roots(z_poly(n), RootFinderConfig(working_dps=55))
-        assert rs.converged
+        roots, converged = _sweep(z_poly(n), 55)
+        assert converged
         expected = sorted(4 * math.cos(math.pi * k / (2 * n + 1)) ** 2
                           for k in range(1, n + 1))
+        match_multisets(expected, roots, 1e-12)
+        # certify_roots refuses the companion eigenvalues in double, and
+        # refines them with the same sweep under a working precision
+        assert not certify_roots(z_poly(n), _approx(z_poly(n))).converged
+        rs = certify_roots(z_poly(n), _approx(z_poly(n)), RootFinderConfig(working_dps=55))
+        assert rs.converged
         match_multisets(expected, rs.roots, 1e-12)
 
     @pytest.mark.parametrize("dps, tol", [(None, 1e-8), (40, 1e-14)])
     def test_conjugate_pair_between_adjacent_real_roots(self, dps, tol):
-        # (x-1)(x-3)(1e8 (x-2)^2 + 1): roots 1, 3 and 2 +- 1e-4 i
+        # (x-1)(x-3)(1e8 (x-2)^2 + 1): roots 1, 3 and 2 +- 1e-4 i.  In double
+        # from the companion eigenvalues; at a working precision from the pair
+        # collapsed onto the real axis, which the sweep must pull apart
         p = poly_mul(IntPolynomial([3, -4, 1]),
                      IntPolynomial([4 * 10 ** 8 + 1, -4 * 10 ** 8, 10 ** 8]))
-        rs = aberth_roots(p, RootFinderConfig(working_dps=dps))
+        approx = _approx(p) if dps is None else [1.0, 3.0, 2.0, 2.0]
+        rs = certify_roots(p, approx, RootFinderConfig(working_dps=dps))
         assert rs.converged
         match_multisets([1, 3, 2 + 1e-4j, 2 - 1e-4j], rs.roots, tol)
 
@@ -189,14 +214,16 @@ class TestAberth:
         # hold the pair on the real axis at any working precision
         p = poly_mul(IntPolynomial([3, -4, 1]),
                      IntPolynomial([4 * 10 ** 18 + 1, -4 * 10 ** 18, 10 ** 18]))
-        rs = aberth_roots(p, RootFinderConfig(working_dps=40))
+        assert all(z.imag == 0 for z in _approx(p))
+        assert not certify_roots(p, _approx(p)).converged
+        rs = certify_roots(p, _approx(p), RootFinderConfig(working_dps=40))
         assert rs.converged
         match_multisets([1, 3, 2 + 1e-9j, 2 - 1e-9j], rs.roots, 1e-14)
 
     def test_double_and_working_precision_agree_on_small_rings(self):
-        # both arithmetics solve each square-free factor, so the repeated
-        # roots of char_poly(g) agree as closely as the simple roots of its
-        # square-free part
+        # both configurations certify each square-free factor, so the
+        # repeated roots of char_poly(g) agree as closely as the simple roots
+        # of its square-free part
         seen = set()
         for n in range(3, 9):
             for bits in range(2 ** n):
@@ -206,48 +233,50 @@ class TestAberth:
                     if q in seen:
                         continue
                     seen.add(q)
-                    double = aberth_roots(q, CFG)
-                    mp = aberth_roots(q, RootFinderConfig(working_dps=40))
+                    double = certify_roots(q, _approx(q))
+                    mp = certify_roots(q, _approx(q), RootFinderConfig(working_dps=40))
                     assert double.converged and mp.converged, g.mask_string()
                     match_multisets(mp.roots, double.roots, 1e-9)
 
     @pytest.mark.parametrize("mask", ["1" * 10, "111011110"])
     def test_working_precision_solves_each_square_free_factor(self, monkeypatch, mask):
         # both spectra have double roots, on which Aberth converges only
-        # linearly; one solve per square-free factor keeps every root simple
+        # linearly; one sweep per square-free factor keeps every root simple
         g = RingDigraph.from_mask_string(len(mask), mask)
         p = char_poly(g)
         calls = _count_horner(monkeypatch)
-        rs = aberth_roots(p, RootFinderConfig(working_dps=40))
+        working = []
+        for factor, k in rootfind._square_free_factors(p):
+            roots, converged = _sweep(factor, 40)
+            assert converged
+            working += [z for z in roots for _ in range(k)]
         assert calls[0] <= 30
-        assert rs.converged
-        match_multisets(closed_form_spectrum(g), rs.roots, 1e-12)
-        assert max(_residual(p, z) for z in rs.roots) <= 1e-15
-        assert all(isinstance(z, rootfind._FixedComplex) for z in rs.working)
-        assert rs.roots == tuple(complex(z) for z in rs.working)
+        roots = [complex(z) for z in working]
+        match_multisets(closed_form_spectrum(g), roots, 1e-12)
+        assert max(_residual(p, z) for z in roots) <= 1e-15
+        assert all(isinstance(z, rootfind._FixedComplex) for z in working)
 
     def test_working_roots_stay_out_of_repr_and_equality(self):
         p = IntPolynomial([2, -3, 1])
-        mp = aberth_roots(p, RootFinderConfig(working_dps=30))
+        mp = certify_roots(p, [1.0, 2.0], RootFinderConfig(working_dps=30))
+        assert mp.converged and len(mp.working) == 2
         assert "working" not in repr(mp)
-        assert aberth_roots(p, CFG).working == ()
-        assert mp == rootfind.ComplexRootSet(mp.roots, mp.converged, mp.source)
-
-    def test_coefficients_beyond_double_range_do_not_converge(self):
-        # the companion matrix holds -1e300 / 1e-10, which overflows
-        rs = aberth_roots([1e300, 0.0, 1e-10], CFG)
-        assert rs.converged is False
+        assert certify_roots(p, [1.0, 2.0], CFG).working == ()
+        assert mp == rootfind.ComplexRootSet(mp.roots, mp.converged, mp.source,
+                                             max_radius=mp.max_radius)
 
     def test_factor_beyond_double_range_does_not_converge(self):
         # x**2 (x - 6e-300): the primitive integer form of the factor
-        # x - 6e-300 has a coefficient near 2**1040
-        rs = aberth_roots([0.0, 0.0, -6e-300, 1.0], CFG)
-        assert rs.converged is False
+        # x - 6e-300 has a coefficient near 2**1040, and its root rounds to
+        # the double root's point of the 2**-64 grid
+        p = [0.0, 0.0, -6e-300, 1.0]
+        rs = certify_roots(p, _approx(p))
+        assert rs.converged is False and rs.max_radius is None
 
     def test_start_at_a_critical_point_keeps_moving(self):
         # p'(0) = 0 for x^3 + 1, where p(0) = 1: the root at 0 is not settled
-        roots, converged = rootfind._aberth([1.0, 0.0, 0.0, 1.0], [0j, 5 + 0j, -3j],
-                                            1e-13, 500, np.finfo(float).eps)
+        terms, starts, bits = rootfind._fixed_point([1, 0, 0, 1], [0j, 5 + 0j, -3j], 30)
+        roots, converged = rootfind._fixed_aberth(terms, starts, bits, 1e-13, 500)
         assert converged
         match_multisets([-1, cmath.exp(1j * math.pi / 3), cmath.exp(-1j * math.pi / 3)],
                         roots, 1e-12)
@@ -258,51 +287,10 @@ def _to_mp(z):
     return mpmath.mpc(mpmath.ldexp(z.re, -z.bits), mpmath.ldexp(z.im, -z.bits))
 
 
-def _polyroots(p) -> list:
-    """p's roots by mpmath.polyroots at 120 digits, one square-free factor at a time."""
-    roots = []
-    with mpmath.workdps(120):
-        for factor, k in rootfind._square_free_factors(p):
-            found = mpmath.polyroots([mpmath.mpf(c) for c in reversed(factor)],
-                                     maxsteps=400, extraprec=600)
-            roots += [r for r in found for _ in range(k)]
-    return roots
-
-
 def _worst_distance(roots, reference, relative: bool) -> float:
     """Largest distance from a root to its nearest reference root (call under workdps)."""
     return max(float(min(abs(z - r) / (abs(r) if relative else 1) for r in reference))
                for z in roots)
-
-
-def _mpmath_route(p, dps: int) -> list[complex]:
-    """Roots of p as the Aberth iteration and Newton give them in mpmath floating point.
-
-    The same engine, factors, starts and stops as :func:`aberth_roots` at
-    ``dps`` digits followed by :func:`refine_all`, over ``mpmath.mpc``.
-    """
-    coeffs = rootfind._coefficients(p)
-    factors = rootfind._square_free_factors(coeffs)
-    if [k for _, k in factors] == [1]:
-        factors = [(coeffs, 1)]
-    found = []
-    with mpmath.workdps(dps):
-        for factor, k in factors:
-            zs, ok = rootfind._aberth([mpmath.mpf(c) for c in factor],
-                                      [mpmath.mpc(z) for z in rootfind._companion_starts(factor)],
-                                      mpmath.mpf(rootfind.CONVERGENCE_TOL), rootfind.MAX_ITERATIONS,
-                                      mpmath.mp.eps)
-            assert ok
-            found += [z for z in zs for _ in range(k)]
-    q = [mpmath.mpf(c) for c in square_free_part(p)]
-    refined = []
-    with mpmath.workdps(60):
-        for z in found:
-            (zz,), ok = rootfind._aberth(q, [mpmath.mpc(z)], mpmath.mpf(10) ** -50, 90,
-                                         mpmath.mp.eps)
-            assert ok
-            refined.append(complex(zz))
-    return refined
 
 
 #: the certified spectra of the benchmark's spectra workload: its closed-form
@@ -310,6 +298,26 @@ def _mpmath_route(p, dps: int) -> list[complex]:
 CERTIFIED_MASKS = ["0" + "1" * 15, "0" + "1" * 19, "1111111011111110", "11111111101111111110",
                    "111011110", "11110111110", "0" * 20, "0" * 28, "1" * 8, "1" * 10,
                    "001011110010", "11011001000010", "1001101001101001"]
+
+
+@functools.cache
+def _certified(mask: str) -> tuple:
+    """(certified spectrum at 30 + n digits, mpmath's roots) for a mask, once per module.
+
+    mpmath's roots are :func:`support.polyroots` where Yun's factors have
+    degree 12 at most.  Beyond that polyroots takes about a second per mask,
+    and they are mpmath's Newton method from the working roots, each proved
+    by a Newton disc below 1e-60 (:func:`support.newton_roots`).
+    """
+    n = len(mask)
+    rs = spectrum_numeric(RingDigraph.from_mask_string(n, mask),
+                          RootFinderConfig(working_dps=30 + n))
+    assert rs.converged, mask
+    if max(len(a) - 1 for a, _ in rootfind._square_free_factors(rs.source)) <= 12:
+        return rs, polyroots(rs.source)
+    points, radii = newton_roots(rs.source, rs.working)
+    assert max(radii) < 1e-60, mask
+    return rs, tuple(points)
 
 
 class TestFixedPoint:
@@ -381,22 +389,22 @@ class TestFixedPoint:
                           IntPolynomial([4 * 10 ** 18 + 1, -4 * 10 ** 18, 10 ** 18])), 1e-35),
     ])
     def test_working_roots_match_polyroots(self, name, p, tol):
-        rs = aberth_roots(p, RootFinderConfig(working_dps=40))
-        assert rs.converged
-        reference = _polyroots(p)
+        working, converged = _sweep(p, 40)
+        assert converged
+        reference = polyroots(p)
         with mpmath.workdps(120):
-            assert _worst_distance([_to_mp(z) for z in rs.working], reference,
+            assert _worst_distance([_to_mp(z) for z in working], reference,
                                    relative=True) <= tol, name
-            assert _worst_distance(reference, [_to_mp(z) for z in rs.working],
+            assert _worst_distance(reference, [_to_mp(z) for z in working],
                                    relative=False) < 1e-20, name
 
     def test_certified_spectra_match_the_mpmath_route(self):
+        # each working root lies within the certified radius of mpmath's root
         for mask in CERTIFIED_MASKS:
-            n = len(mask)
-            p = char_poly(RingDigraph.from_mask_string(n, mask))
-            rs = aberth_roots(p, RootFinderConfig(working_dps=30 + n))
-            assert rs.converged, mask
-            match_multisets(_mpmath_route(p, 30 + n), refine_all(rs).roots, 1e-40)
+            rs, reference = _certified(mask)
+            with mpmath.workdps(120):
+                assert _worst_distance([_to_mp(z) for z in rs.working], reference,
+                                       relative=False) <= rs.max_radius, mask
 
 
 def _grid_distance(z, roots) -> float:
@@ -551,8 +559,9 @@ class TestCertifyRoots:
         match_multisets([math.sqrt(2), -math.sqrt(2)], rs.roots, rs.max_radius)
 
     def test_roots_closer_than_the_grid_are_not_certified(self):
-        # the polynomial of aberth_roots' fault F4: two roots near 1e-30
-        # round to one point of the 2**-64 grid, so their discs coincide
+        # two roots near 1e-30, which an Aberth iteration in double once
+        # reported as converged with wrong values, round to one point of
+        # the 2**-64 grid, so their discs coincide
         p = poly_mul(poly_mul(IntPolynomial([-1, 10 ** 30]), IntPolynomial([-3, 10 ** 30])),
                      IntPolynomial([2, -3, 1]))
         rs = rootfind.certify_roots(p, [1e-30, 3e-30, 1.0, 2.0])
@@ -619,19 +628,15 @@ class TestCertifyRoots:
             if not rs.converged:
                 continue
             certified += 1
-            reference = [complex(r) for r in _polyroots(p)]
+            reference = [complex(r) for r in polyroots(p)]
             match_multisets(reference, rs.roots, rs.max_radius + 1e-13)
         assert certified >= 100
 
     def test_certified_spectra_polish_as_the_oracle_does(self):
         for mask in CERTIFIED_MASKS:
-            n = len(mask)
-            cfg = RootFinderConfig(working_dps=30 + n)
-            rs = spectrum_numeric(RingDigraph.from_mask_string(n, mask), cfg)
-            assert rs.converged, mask
+            rs, reference = _certified(mask)
             assert rs.roots == tuple(complex(z) for z in rs.working)
-            oracle = refine_all(aberth_roots(rs.source, cfg))
-            match_multisets(oracle.roots, refine_all(rs).roots, 1e-40)
+            match_multisets(map(complex, reference), refine_all(rs).roots, 1e-40)
 
 
 class TestRefinement:
@@ -649,8 +654,7 @@ class TestRefinement:
         # gaps (1,2,3) at n=6: the char poly has a conjugate pair
         p = poly_shift_const(
             poly_mul(poly_mul(z_poly(1), z_poly(2)), z_poly(3)), -1)
-        rs = aberth_roots(p, CFG)
-        z = max(rs.roots, key=lambda v: abs(v.imag))
+        z = max(_approx(p), key=lambda v: abs(v.imag))
         (value,) = _polished(p, [z])
         with mpmath.workdps(60):
             val = mpmath.polyval([mpmath.mpf(c) for c in p.coefficients[::-1]],
@@ -672,9 +676,10 @@ class TestRefinement:
     def test_path_forty_roots_refine_in_few_evaluations(self, monkeypatch):
         # at 60 digits the degree-40 evaluation noise keeps Newton's steps
         # above the 1e-50 step rule; the noise-floor stop ends each root,
-        # started from its double value
+        # started from its certified double value
         poly, closed = path_matrix_spectrum(40)
-        rs = aberth_roots(poly, RootFinderConfig(working_dps=70))
+        rs = certify_roots(poly, closed, RootFinderConfig(working_dps=70))
+        assert rs.converged
         calls = _count_horner(monkeypatch)
         refined = _polished(poly, rs.roots)
         assert all(map(cmath.isfinite, refined))
@@ -682,10 +687,11 @@ class TestRefinement:
         match_multisets(closed, refined, 1e-9)
 
     def test_refine_all_starts_from_the_working_roots(self, monkeypatch):
-        # the mpmath route's roots keep their digits, so Newton needs about
-        # one step per root
+        # the certified working roots keep their digits, so Newton needs
+        # about one step per root
         poly, closed = path_matrix_spectrum(40)
-        rs = aberth_roots(poly, RootFinderConfig(working_dps=70))
+        rs = certify_roots(poly, closed, RootFinderConfig(working_dps=70))
+        assert rs.converged
         calls = _count_horner(monkeypatch)
         refined = refine_all(rs)
         assert calls[0] <= len(rs.roots) + 1
@@ -753,15 +759,19 @@ class TestRefinement:
         assert refine_all(_root_set(p, [complex(math.inf, 0)])).roots == (complex(math.inf, 0),)
         (value,) = refine_all(_root_set(p, [complex(math.nan, 0)])).roots
         assert cmath.isnan(value)
-        rs = aberth_roots([0.0, 0.0, -6e-300, 1.0], CFG)
+        # x**2 (x - 6e-300), not certified (see TestAberth), polishes the
+        # double root it was given
+        p = [0.0, 0.0, -6e-300, 1.0]
+        rs = certify_roots(p, _approx(p))
         assert refine_all(rs).roots[1:] == (0j, 0j)
 
     def test_nan_roots_survive_an_underflow_errno(self):
         # an underflowing math.ldexp leaves errno at ERANGE, and CPython's abs()
         # of a NaN complex can then raise OverflowError; nothing takes abs() of
-        # these roots, so they come back as NaN and unconverged
+        # these roots, so they come back as NaN and unconverged.  The companion
+        # matrix of 1e-10 x**2 + 1e300 overflows, so its eigenvalues are NaN
         math.ldexp(1.0, -1100)
-        rs = aberth_roots([1e300, 0.0, 1e-10], CFG)
+        rs = certify_roots([1e300, 0.0, 1e-10], [complex(math.nan, math.nan)] * 2)
         assert rs.converged is False
         assert len(rs.roots) == 2 and all(map(cmath.isnan, rs.roots))
         math.ldexp(1.0, -1100)
@@ -779,7 +789,8 @@ class TestRefinement:
         # near-balanced two-gap digraph: all roots real, several double
         g = RingDigraph.from_mask_string(9, "111011110")
         p = char_poly_exact(laplacian(g))
-        rs = refine_all(aberth_roots(p, CFG))
+        # the companion eigenvalues split each double root
+        rs = refine_all(_root_set(p, _approx(p)))
         assert max(abs(z.imag) for z in rs.roots) < 1e-12
 
 
@@ -858,7 +869,8 @@ class TestSquareFreePart:
         p = char_poly(RingDigraph(8, (True,) * 8))
         q = square_free_part(p)
         assert len(q) - 1 == 5
-        rs = aberth_roots(q, CFG)
+        rs = certify_roots(q, _approx(q))
+        assert rs.converged
         expected = [4 * math.sin(math.pi * k / 8) ** 2 for k in range(5)]
         match_multisets(expected, rs.roots, 1e-12)
 
@@ -986,8 +998,8 @@ class TestCharPolyExact:
         while count < 100:
             n = int(rng.integers(2, 7))
             m = rng.integers(-3, 4, size=(n, n)).tolist()
-            exact = aberth_roots(char_poly_exact(m), CFG)
-            approx = aberth_roots(char_poly_float(m), CFG)
+            exact = certify_roots(char_poly_exact(m), _approx(char_poly_exact(m)))
+            approx = certify_roots(char_poly_float(m), _approx(char_poly_float(m)))
             if not (exact.converged and approx.converged):
                 continue
             match_multisets(exact.roots, approx.roots, 1e-8)
@@ -1061,7 +1073,7 @@ class TestSpectralVerdict:
             (char_poly_exact(laplacian(RingDigraph.from_mask_string(7, "1101110"))), False),
             (char_poly_exact(laplacian(RingDigraph.from_mask_string(8, "11011110"))), True),
         ]
-        for name in ("aberth_roots", "_aberth", "_fixed_aberth", "_polish", "_companion_starts"):
+        for name in ("certify_roots", "_fixed_aberth", "_polish"):
             monkeypatch.setattr(rootfind, name, unavailable)
         monkeypatch.setattr(np, "roots", unavailable)
         for p, cyclic in cases:
@@ -1072,6 +1084,7 @@ class TestSpectralVerdict:
 
 class TestSerialization:
     def test_root_set_json(self):
-        rs = aberth_roots(IntPolynomial([1, 0, 1]), CFG)
+        rs = certify_roots(IntPolynomial([1, 0, 1]), [1j, -1j])
+        assert rs.converged
         data = rs.to_json()
         assert len(data) == 2 and all(len(pair) == 2 for pair in data)
