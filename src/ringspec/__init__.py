@@ -7,7 +7,8 @@ numerically, analyzes small weighted variants, counts spanning converging
 trees, and demonstrates the link between non-real eigenvalues and oscillating
 consensus dynamics.  Every closed-form claim is cross-checked against an
 independent numeric pipeline (exact characteristic polynomials, matrix
-eigenvalues certified exactly against them, and Sturm counts).
+eigenvalues certified exactly against them, and Newton's inequalities and
+Sturm counts).
 """
 
 from .polycore import (

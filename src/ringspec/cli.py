@@ -97,7 +97,7 @@ def _cmd_scan(args) -> int:
         "decompositions": sum(r["decompositions"] for r in results),
         "multisets": sum(r["multisets"] for r in results),
         "disagreements": [{"n": n, "mask": m} for n, m in disagreements],
-        # kept for the output's readers: the Sturm verdict is never ambiguous
+        # kept for the output's readers: the numeric verdict is never ambiguous
         "ambiguous": [],
         "message": f"{len(disagreements)} disagreements over {instances} instances",
     }

@@ -34,9 +34,11 @@ roots.  Both evaluate through one Horner pass (:func:`_fixed_horner`) that
 also bounds its own rounding noise, and stop a root at that noise floor.
 
 Whether p has a non-real root at all is decided without any root:
-:func:`spectral_verdict` counts p's distinct real roots by Sturm's theorem,
-on the signed remainder sequence of p and p' over the integers, with the
-same pseudo-remainder that gives gcd(p, p') and Yun's factors.
+:func:`spectral_verdict` first tests Newton's inequalities on p's integer
+coefficients, whose strict failure proves a non-real root, and otherwise
+counts p's distinct real roots by Sturm's theorem, on the signed remainder
+sequence of p and p' over the integers, with the same pseudo-remainder that
+gives gcd(p, p') and Yun's factors.  A "real" verdict comes from Sturm alone.
 """
 
 from __future__ import annotations
@@ -826,10 +828,11 @@ def char_poly_float(matrix) -> list[float]:
 def spectral_verdict(p) -> bool:
     """True exactly when p has a non-real root; no root is computed.
 
-    Sturm's theorem on p's primitive integer multiple a
-    (:func:`_integer_coefficients`): the signed remainder sequence a, a',
-    -rem(a, a'), ... is built with :func:`_pseudo_remainder`, each term
-    divided by the positive gcd of its coefficients, until a remainder
+    On p's primitive integer multiple a (:func:`_integer_coefficients`): True
+    at once when a breaks one of Newton's inequalities (:func:`_breaks_newton`).
+    Otherwise, and so for every False, Sturm's theorem: the signed remainder
+    sequence a, a', -rem(a, a'), ... is built with :func:`_pseudo_remainder`,
+    each term divided by the positive gcd of its coefficients, until a remainder
     vanishes.  Its last term is gcd(a, a') up to a constant, so p has
     deg p - deg gcd distinct roots, and V(-inf) - V(+inf) of them are real,
     where V counts the sign changes of the terms' leading signs at that end.
@@ -837,6 +840,8 @@ def spectral_verdict(p) -> bool:
     square-free.
     """
     _, a = _integer_coefficients(p)
+    if _breaks_newton(a):
+        return True
     degree, b = len(a) - 1, _derivative(a)
     # (leading coefficient, degree) of each term; only the last two are kept whole
     leads = [(a[-1], degree), (b[-1], degree - 1)]
@@ -848,6 +853,21 @@ def spectral_verdict(p) -> bool:
     at_minus = [(c > 0) == (d % 2 == 0) for c, d in leads]
     real = _sign_changes(at_minus) - _sign_changes(at_plus)
     return real < degree - leads[-1][1]
+
+
+def _breaks_newton(a: list[int]) -> bool:
+    """True when a / x^m (a's roots at 0 divided out) breaks Newton's inequalities.
+
+    Each real-rooted q = sum q_k x^k of degree d has q_k^2 C(d, k-1) C(d, k+1)
+    >= q_(k-1) q_(k+1) C(d, k)^2 for 0 < k < d (Hardy, Littlewood and Polya,
+    *Inequalities*, 2.22), that is, with the binomials cancelled,
+    q_k^2 k (d - k) >= q_(k-1) q_(k+1) (k + 1) (d - k + 1).  Equality holds
+    throughout for (x - r)^d, so the test is strict and on exact integers.
+    """
+    q = a[next(i for i, c in enumerate(a) if c):]
+    d = len(q) - 1
+    return any(q[k] * q[k] * k * (d - k) < q[k - 1] * q[k + 1] * (k + 1) * (d - k + 1)
+               for k in range(1, d))
 
 
 def _sign_changes(positive: list[bool]) -> int:

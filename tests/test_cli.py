@@ -181,6 +181,21 @@ class TestClassify:
         assert len(calls) == 1
         assert json.loads(out)["char_poly"] == ringgraph.char_poly(calls[0]).to_json()
 
+    def test_numeric_verdict_on_many_gaps_at_eight_hundred(self):
+        # Newton's inequalities decide this cyclic mask, so no Sturm count runs
+        n = 800
+        rng = random.Random(3)
+        mask = "".join(rng.choice("0111") for _ in range(n))
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "ringspec", "classify", str(n), mask,
+                               "--numeric"],
+                              capture_output=True, text=True, env=subprocess_env(), timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        rec = json.loads(proc.stdout)
+        assert rec["numeric_agrees"] is True and rec["essentially_cyclic"] is True
+        assert elapsed < 3.0
+
     def test_coefficients_past_the_int_str_digit_limit(self):
         # CPython refuses to print ints longer than PYTHONINTMAXSTRDIGITS
         # digits (4300 by default, 640 at least); n = 1600 has longer ones

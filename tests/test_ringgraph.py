@@ -570,6 +570,36 @@ class TestScan:
         assert dict(calls) == {"decompose": 8184, "classify_exact": 4102,
                                "char_poly_exact": 278, "spectral_verdict": 278}
 
+    def test_newton_inequalities_decide_most_cyclic_multisets(self, monkeypatch):
+        # of the 278 gap multisets over n = 3..12, 248 are cyclic; Newton's
+        # inequalities decide 205 of them, so the Sturm count runs 73 times
+        newton, verdicts = collections.Counter(), collections.Counter()
+        breaks, verdict, remainder = (rootfind._breaks_newton, rootfind.spectral_verdict,
+                                      rootfind._pseudo_remainder)
+        sturm = []
+
+        def counting_breaks(a):
+            newton[result := breaks(a)] += 1
+            return result
+
+        def counting_verdict(p):
+            sturm.append(False)
+            verdicts[result := verdict(p)] += 1
+            return result
+
+        def counting_remainder(a, b):
+            sturm[-1] = True
+            return remainder(a, b)
+
+        monkeypatch.setattr(rootfind, "_breaks_newton", counting_breaks)
+        monkeypatch.setattr(rootfind, "spectral_verdict", counting_verdict)
+        monkeypatch.setattr(rootfind, "_pseudo_remainder", counting_remainder)
+        for n in range(3, 13):
+            assert exhaustive_scan(n)["disagreements"] == []
+        assert verdicts == {True: 248, False: 30}
+        assert newton == {True: 205, False: 73}
+        assert sturm.count(True) == 73
+
     def test_memo_keeps_gap_order(self, monkeypatch):
         # flip the exact verdict of one ordered gap tuple only: the scan must
         # report exactly its masks, not the rotations with the same multiset

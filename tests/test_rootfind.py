@@ -6,6 +6,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from ringspec.polycore import IntPolynomial, poly_mul, poly_shift_const, z_poly
 from ringspec.ringgraph import (
     RingDigraph,
     char_poly,
+    classify_exact,
     closed_form_spectrum,
     laplacian,
     spectrum_numeric,
@@ -1080,6 +1082,80 @@ class TestSpectralVerdict:
             assert spectral_verdict(p) is cyclic, p
         with pytest.raises(ValueError):
             spectral_verdict([1.0])
+
+
+class TestNewtonInequalities:
+    def test_never_fires_on_a_real_spectrum_to_twelve(self, monkeypatch):
+        # every mask with n <= 12 whose Sturm count is all real; masks with
+        # one gap multiset share their polynomial, so each is tested once
+        breaks = rootfind._breaks_newton
+        monkeypatch.setattr(rootfind, "_breaks_newton", lambda a: False)  # Sturm alone
+        seen, real = set(), 0
+        for n in range(3, 13):
+            for bits in range(2 ** n):
+                g = RingDigraph(n, [bool((bits >> j) & 1) for j in range(n)])
+                key = (n, g.decomposition.K, tuple(sorted(g.decomposition.gaps)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                p = char_poly_exact(laplacian(g))
+                if not spectral_verdict(p):
+                    real += 1
+                    assert not breaks(list(p.coefficients)), g.mask_string()
+        assert (len(seen), real) == (278, 30)
+
+    @pytest.mark.parametrize("n", [40, 120, 400])
+    def test_never_fires_on_the_real_shapes(self, n):
+        # symmetric ring, single gap, balanced pair and (at n + 1) near-balanced pair
+        for m, parts, case in ((n, [], "symmetric"), (n, [n], "single-gap"),
+                               (n, [n // 2, n // 2], "balanced-gaps"),
+                               (n + 1, [n // 2, n // 2 + 1], "near-balanced-gaps")):
+            absent = set(itertools.accumulate(parts))
+            g = RingDigraph(m, [j not in absent for j in range(1, m + 1)])
+            assert classify_exact(g).case == case
+            p = char_poly_exact(laplacian(g))
+            assert not rootfind._breaks_newton(list(p.coefficients)), (m, case)
+            assert spectral_verdict(p) is False, (m, case)
+
+    def test_never_fires_on_integer_roots_with_repeats(self):
+        rng = random.Random(28)
+        for _ in range(300):
+            pool = [rng.randint(-40, 40) for _ in range(rng.randint(1, 6))]
+            roots = [rng.choice(pool) for _ in range(rng.randint(1, 14))]
+            a = [1]
+            for r in roots:
+                a = poly_mul(IntPolynomial(a), IntPolynomial([-r, 1])).coefficients
+            assert not rootfind._breaks_newton(list(a)), roots
+            assert spectral_verdict(IntPolynomial(a)) is False, roots
+
+    @pytest.mark.parametrize("r", [1, -3, 2 ** 60 + 1, 3 ** 40 + 1],
+                             ids=["1", "-3", "2**60+1", "3**40+1"])
+    def test_equality_is_not_a_violation(self, r):
+        # x**m (x - r)**d meets every inequality with equality: a non-strict
+        # test or one in floating point would call it cyclic (or overflow)
+        for d in range(2, 25):
+            for m in (0, 1, 3):
+                a = [0] * m + [math.comb(d, j) * (-r) ** (d - j) for j in range(d + 1)]
+                assert not rootfind._breaks_newton(a), (r, d, m)
+                assert spectral_verdict(IntPolynomial(a)) is False, (r, d, m)
+
+    def test_quadratic_case_is_the_discriminant(self):
+        # at d = 2 the one inequality reads a1^2 >= 4 a0 a2
+        for a0, a1, a2 in itertools.product(range(-6, 7), range(-9, 10), range(1, 5)):
+            assert rootfind._breaks_newton([a0, a1, a2]) is (a1 * a1 < 4 * a0 * a2), (a0, a1, a2)
+            assert rootfind._breaks_newton([0, 0, a0, a1, a2]) is (a1 * a1 < 4 * a0 * a2)
+
+    def test_many_gap_masks_skip_the_sturm_count(self, monkeypatch):
+        def unavailable(*args):
+            raise AssertionError("the verdict ran the Sturm count")
+
+        monkeypatch.setattr(rootfind, "_pseudo_remainder", unavailable)
+        assert spectral_verdict(IntPolynomial([1, 0, 1])) is True
+        for n in (60, 100, 200, 400):
+            rng = random.Random(3)
+            g = RingDigraph.from_mask_string(n, "".join(rng.choice("0111") for _ in range(n)))
+            assert classify_exact(g).essentially_cyclic
+            assert spectral_verdict(char_poly_exact(laplacian(g))) is True, n
 
 
 class TestSerialization:
