@@ -44,7 +44,6 @@ from .rootfind import (
     RootFinderConfig,
     certify_roots,
     char_poly_exact,
-    char_poly_float,
     refine_all,
     spectral_verdict,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "RootFinderConfig",
     "certify_roots",
     "char_poly_exact",
-    "char_poly_float",
     "refine_all",
     "spectral_verdict",
 ]

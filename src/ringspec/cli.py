@@ -25,6 +25,7 @@ from .ringgraph import (
     closed_form_spectrum,
     exhaustive_scan,
     laplacian,
+    numeric_verdict,
     spectrum_numeric,
 )
 from .rootfind import char_poly_exact, spectral_verdict
@@ -47,7 +48,7 @@ def _cmd_classify(args) -> int:
     record = classification_record(g)
     if args.numeric:
         # the matrix's own polynomial, not the record's gap product
-        verdict = spectral_verdict(char_poly_exact(laplacian(g)))
+        verdict = numeric_verdict(g)
         record["numeric_essentially_cyclic"] = verdict
         record["numeric_agrees"] = verdict == record["essentially_cyclic"]
     _emit(record, args.json)

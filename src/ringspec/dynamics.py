@@ -23,6 +23,8 @@ STABILITY_MARGIN = 0.1
 IMAG_THRESHOLD = 1e-6
 #: |y| at or below this times max|y| is rounding noise to :func:`dominant_frequency`.
 NOISE_FLOOR = 100 * np.finfo(np.float64).eps
+#: the most doubles, (steps + 1) * n, that :func:`simulate` stores (800 MB)
+MAX_STATE_VALUES = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,9 @@ def simulate(laplacian_matrix, cfg: SimConfig) -> Trajectory:
 
     The step is rejected up front unless step * max(4, 2*max(diag)) stays
     within the stability margin (Gershgorin bounds the spectral radius by
-    twice the largest diagonal entry; 4 covers every unweighted ring digraph).
+    twice the largest diagonal entry; 4 covers every unweighted ring digraph),
+    and so is a trajectory of more than ``MAX_STATE_VALUES`` doubles, before
+    anything is allocated.
     """
     mat = np.asarray(laplacian_matrix, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -88,6 +92,9 @@ def simulate(laplacian_matrix, cfg: SimConfig) -> Trajectory:
         )
 
     steps = int(round(cfg.horizon / cfg.step))
+    if (steps + 1) * n > MAX_STATE_VALUES:
+        raise ValueError(f"{steps + 1} steps of {n} states exceed {MAX_STATE_VALUES} "
+                         "stored values: shorten the horizon or lengthen the step")
     states = np.empty((steps + 1, n))
     states[0] = _initial_state(cfg, n)
     h = cfg.step

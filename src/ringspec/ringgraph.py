@@ -213,6 +213,17 @@ def spectrum_numeric(g: RingDigraph, cfg: RootFinderConfig = RootFinderConfig())
                                   np.linalg.eigvals(np.array(mat, dtype=float)), cfg)
 
 
+def numeric_verdict(g: RingDigraph) -> bool:
+    """Whether g's Laplacian has a non-real eigenvalue, from the matrix alone.
+
+    :func:`ringspec.rootfind.spectral_verdict` on the matrix's own
+    polynomial :func:`ringspec.rootfind.char_poly_exact` of :func:`laplacian`:
+    Newton's inequalities first, then the Sturm count, with no root computed
+    and no code shared with :func:`classify_exact`.
+    """
+    return rootfind.spectral_verdict(rootfind.char_poly_exact(laplacian(g)))
+
+
 def classification_record(g: RingDigraph) -> dict:
     """JSON-ready record of the full classification of one ring digraph.
 
@@ -242,9 +253,8 @@ def exhaustive_scan(n: int) -> dict:
     decomposition, which is all it reads.  Masks with the same
     gap multiset share a characteristic polynomial (the product of Z factors
     does not depend on gap order), so the second verdict,
-    :func:`ringspec.rootfind.spectral_verdict` on the matrix's own polynomial
-    :func:`ringspec.rootfind.char_poly_exact` of :func:`laplacian`, runs once
-    per (K, sorted gaps); it shares no code with the exact classifier.  That
+    :func:`numeric_verdict` on the matrix's own polynomial, runs once per
+    (K, sorted gaps); it shares no code with the exact classifier.  That
     verdict tests Newton's inequalities first, which settle 205 of the 248
     cyclic multisets over n = 3..12, and runs the Sturm count on the other
     73; a "real" verdict comes from the Sturm count alone.
@@ -262,7 +272,7 @@ def exhaustive_scan(n: int) -> dict:
         if pair is None:
             key = (dec.K, tuple(sorted(dec.gaps)))
             if key not in numeric:
-                numeric[key] = rootfind.spectral_verdict(rootfind.char_poly_exact(laplacian(g)))
+                numeric[key] = numeric_verdict(g)
             pair = verdicts[dec] = (classify_exact(g).essentially_cyclic, numeric[key])
         exact, verdict = pair
         if verdict != exact:

@@ -4,8 +4,7 @@ The package's closed-form spectral claims are all cross-checked against this
 module, which knows nothing about those closed forms.  It builds
 characteristic polynomials from the matrix entries alone, with its own
 arithmetic on plain lists: the transfer-matrix (periodic Jacobi) determinant
-for ring-shaped matrices, whose nonzeros lie on the three cyclic diagonals,
-and the Faddeev-LeVerrier trace recursion for every other matrix.
+of a ring-shaped matrix, whose nonzeros lie on the three cyclic diagonals.
 
 It reads no matrix to find roots.  :func:`certify_roots` takes approximations
 from its caller (the program passes the Laplacian's ``numpy.linalg.eigvals``)
@@ -37,8 +36,9 @@ Whether p has a non-real root at all is decided without any root:
 :func:`spectral_verdict` first tests Newton's inequalities on p's integer
 coefficients, whose strict failure proves a non-real root, and otherwise
 counts p's distinct real roots by Sturm's theorem, on the signed remainder
-sequence of p and p' over the integers, with the same pseudo-remainder that
-gives gcd(p, p') and Yun's factors.  A "real" verdict comes from Sturm alone.
+sequence of p and p' over the integers (:func:`_remainder_sequence`), the one
+sequence that also gives gcd(p, p') and Yun's factors.  A "real" verdict
+comes from Sturm alone.
 """
 
 from __future__ import annotations
@@ -531,7 +531,7 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     """A positive integer multiple of a mod b (ascending coefficients).
 
     Each step scales the running remainder by a positive factor, so the
-    result keeps the sign of a mod b, as :func:`spectral_verdict` needs.
+    result keeps the sign of a mod b, as :func:`_remainder_sequence` needs.
     """
     r = list(a)
     db, lb = len(b) - 1, b[-1]
@@ -580,18 +580,31 @@ def _derivative(a: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(a)][1:]
 
 
-def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of a and a primitive b of lower degree.
+def _remainder_sequence(a: list[int], b: list[int]):
+    """The signed remainder sequence a, b, -rem(a, b), ... for deg b < deg a.
 
-    The last nonzero term of the primitive remainder sequence; [1] when the
-    sequence ends in a constant.
+    Each later term is -:func:`_pseudo_remainder` of the two before it over
+    the positive gcd of its coefficients: content-free, with the signs that
+    Sturm's theorem reads.  The last term, nonzero, is gcd(a, b) up to a
+    constant; a constant term is always the last.
     """
+    yield a
+    yield b
     while len(b) > 1:
         r = _pseudo_remainder(a, b)
         if not r:
-            return b
-        a, b = b, _primitive(r)
-    return [1]
+            return
+        g = math.gcd(*r)
+        a, b = b, [-v // g for v in r]
+        yield b
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of a and a nonzero b of lower degree, from their
+    :func:`_remainder_sequence`."""
+    for last in _remainder_sequence(a, b):
+        pass
+    return _primitive(last) if len(last) > 1 else [1]
 
 
 def square_free_part(p) -> tuple:
@@ -602,7 +615,7 @@ def square_free_part(p) -> tuple:
     integer coefficients (ascending) with a positive leading one.
     """
     coeffs, ints = _integer_coefficients(p)
-    g = _gcd(ints, _primitive(_derivative(ints)))
+    g = _gcd(ints, _derivative(ints))
     return coeffs if len(g) == 1 else tuple(_exact_quotient(ints, g))
 
 
@@ -620,7 +633,7 @@ def _square_free_factors(p) -> list[tuple[list[int], int]]:
     """
     _, b = _integer_coefficients(p)
     c = _derivative(b)
-    g = _gcd(b, _primitive(c))
+    g = _gcd(b, c)
     b, c = _exact_quotient(b, g), _exact_quotient(c, g)
     factors = []
     k = 1
@@ -628,7 +641,7 @@ def _square_free_factors(p) -> list[tuple[list[int], int]]:
         d = [x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)]
         while d and d[-1] == 0:
             d.pop()
-        a = _gcd(b, _primitive(d)) if d else b
+        a = _gcd(b, d) if d else b
         if len(a) > 1:
             factors.append((a, k))
         b, c = _exact_quotient(b, a), _exact_quotient(d, a)
@@ -698,36 +711,45 @@ def refine_all(rootset: ComplexRootSet) -> ComplexRootSet:
 
     The polish is :func:`_polish`.  It starts from the working-precision
     roots when the set carries them, moved onto its grid by a bit shift, so
-    digits already found are not won back step by step.  A root that does
-    not converge, or has no finite start, keeps its value.  The result
-    carries the set's ``converged`` flag and source, and no working roots.
+    digits already found are not won back step by step.  deg p distinct
+    certified roots prove p square-free, so p itself is polished then.  A
+    root that does not converge, or has no finite start, keeps its value.
+    The result carries the set's ``converged`` flag and source, and no
+    working roots.
     """
-    polished = _polish(square_free_part(rootset.source), rootset.working or rootset.roots)
+    source = rootset.source
+    square_free = rootset.converged and len(set(rootset.roots)) == len(source) - 1
+    polished = _polish(source if square_free else square_free_part(source),
+                       rootset.working or rootset.roots)
     roots = tuple(z if p is None else p for z, p in zip(rootset.roots, polished))
-    return ComplexRootSet(roots, rootset.converged, rootset.source)
+    return ComplexRootSet(roots, rootset.converged, source)
 
 
 def char_poly_exact(matrix) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - M) of an integer matrix.
+    """Exact characteristic polynomial det(xI - M) of a ring-shaped integer matrix.
 
-    A ring-shaped matrix -- n >= 3 and every nonzero entry on the cyclic
-    diagonals (i, i) and (i, i +- 1 mod n), as ring and path Laplacians and
-    every 3-by-3 matrix are -- goes through the transfer-matrix determinant
-    (:func:`_transfer_char_poly`), O(n**2) coefficient operations.  Every
-    other matrix, n <= 2 included, goes through the Faddeev-LeVerrier trace
-    recursion (:func:`_faddeev_leverrier`).  Both run on Python integers and
-    read only the matrix entries, which must be integers: a float entry
-    raises TypeError instead of being truncated.  Returns a monic polynomial
-    of degree n with ascending coefficients.
+    Ring-shaped means every nonzero entry on the cyclic diagonals (i, i) and
+    (i, i +- 1 mod n), as in ring and path Laplacians and every 3-by-3
+    matrix; any other matrix with n >= 3 raises ValueError.  The transfer
+    determinant (:func:`_transfer_char_poly`) takes O(n**2) coefficient
+    operations, and n <= 2 is the determinant formula.  The entries must be
+    integers: a float raises TypeError instead of being truncated.  Returns
+    a monic polynomial of degree n with ascending coefficients.
     """
     rows = [list(map(operator.index, row)) for row in matrix]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
+    if n == 2:
+        (a, b), (c, d) = rows
+        return IntPolynomial([a * d - b * c, -a - d, 1])
+    if n < 2:
+        return IntPolynomial([-v for row in rows for v in row] + [1])
     # row i is ring-shaped when its entries i + 2, ..., i + n - 2 (mod n) are 0
-    if n >= 3 and not any(any((row * 2)[i + 2:i + n - 1]) for i, row in enumerate(rows)):
-        return IntPolynomial(_transfer_char_poly(rows))
-    return IntPolynomial(_faddeev_leverrier(rows))
+    if any(any((row * 2)[i + 2:i + n - 1]) for i, row in enumerate(rows)):
+        raise ValueError("matrix must be ring-shaped: a nonzero entry lies off "
+                         "the cyclic diagonals (i, i) and (i, i +- 1 mod n)")
+    return IntPolynomial(_transfer_char_poly(rows))
 
 
 def _transfer_char_poly(rows: list[list[int]]) -> list[int]:
@@ -763,92 +785,24 @@ def _transfer_char_poly(rows: list[list[int]]) -> list[int]:
     return coeffs
 
 
-def _faddeev_leverrier(rows: list[list[int]]) -> list[int]:
-    """det(xI - M) by the trace recursion, ascending coefficients.
-
-    The per-step divisions are exact for integer input.  Each step
-    multiplies by M row by row over its nonzero entries, so a matrix with a
-    bounded number of nonzeros per row costs O(n**2) per step instead of
-    O(n**3).
-    """
-    n = len(rows)
-    aux = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    cs = [0] * (n + 1)
-    cs[n] = 1  # leading coefficient of x**n
-    for k in range(1, n + 1):
-        aux = _int_mat_mul(rows, aux)
-        trace = sum(aux[i][i] for i in range(n))
-        if trace % k != 0:
-            raise ArithmeticError("trace recursion division not exact")
-        ck = -(trace // k)
-        cs[n - k] = ck
-        for i in range(n):
-            aux[i][i] += ck
-    return cs
-
-
-def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Integer product a @ b that skips the zero entries of a."""
-    width = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * width
-        for x, b_row in zip(row, b):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, b_row)]
-        out.append(acc)
-    return out
-
-
-def char_poly_float(matrix) -> list[float]:
-    """Faddeev-LeVerrier in floating point, for real (weighted) matrices.
-
-    Accurate far below the test tolerances for the n <= 8 sizes it serves.
-    Returns ascending coefficients of the monic characteristic polynomial;
-    raises ValueError when one of them overflows double precision.
-    """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    n = m.shape[0]
-    aux = np.eye(n)
-    cs = [0.0] * (n + 1)
-    cs[n] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n + 1):
-            prod = m @ aux
-            ck = -np.trace(prod) / k
-            cs[n - k] = float(ck)
-            aux = prod + ck * np.eye(n)
-    if not all(math.isfinite(c) for c in cs):
-        raise ValueError("characteristic polynomial overflows double precision")
-    return cs
-
-
 def spectral_verdict(p) -> bool:
     """True exactly when p has a non-real root; no root is computed.
 
     On p's primitive integer multiple a (:func:`_integer_coefficients`): True
     at once when a breaks one of Newton's inequalities (:func:`_breaks_newton`).
-    Otherwise, and so for every False, Sturm's theorem: the signed remainder
-    sequence a, a', -rem(a, a'), ... is built with :func:`_pseudo_remainder`,
-    each term divided by the positive gcd of its coefficients, until a remainder
-    vanishes.  Its last term is gcd(a, a') up to a constant, so p has
-    deg p - deg gcd distinct roots, and V(-inf) - V(+inf) of them are real,
-    where V counts the sign changes of the terms' leading signs at that end.
-    A common factor of the terms changes neither count, so p need not be
-    square-free.
+    Otherwise, and so for every False, Sturm's theorem on the signed
+    remainder sequence a, a', -rem(a, a'), ... (:func:`_remainder_sequence`).
+    Its last term is gcd(a, a') up to a constant, so p has deg p - deg gcd
+    distinct roots, and V(-inf) - V(+inf) of them are real, where V counts
+    the sign changes of the terms' leading signs at that end.  A common
+    factor of the terms changes neither count, so p need not be square-free.
     """
     _, a = _integer_coefficients(p)
     if _breaks_newton(a):
         return True
-    degree, b = len(a) - 1, _derivative(a)
-    # (leading coefficient, degree) of each term; only the last two are kept whole
-    leads = [(a[-1], degree), (b[-1], degree - 1)]
-    while r := _pseudo_remainder(a, b):
-        g = math.gcd(*r)
-        a, b = b, [-v // g for v in r]
-        leads.append((b[-1], len(b) - 1))
+    degree = len(a) - 1
+    # (leading coefficient, degree) of each term; the sequence keeps two whole
+    leads = [(t[-1], len(t) - 1) for t in _remainder_sequence(a, _derivative(a))]
     at_plus = [c > 0 for c, _ in leads]
     at_minus = [(c > 0) == (d % 2 == 0) for c, d in leads]
     real = _sign_changes(at_minus) - _sign_changes(at_plus)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from ringspec import rootfind
 from ringspec.polycore import IntPolynomial
@@ -106,3 +108,62 @@ def newton_roots(p, starts, dps: int = 150, steps: int = 3) -> tuple[list, list[
         for (z, r), (w, s) in itertools.combinations(zip(points, radii), 2):
             assert abs(z - w) > r + s, f"discs about {complex(z)} and {complex(w)} overlap"
         return points, [float(r) for r in radii]
+
+
+def faddeev_leverrier(rows: list[list[int]]) -> list[int]:
+    """det(xI - M) of any square integer matrix by the trace recursion, ascending.
+
+    The reference for ``rootfind.char_poly_exact``, which shares no code
+    with it.  The per-step divisions are exact for integer input.
+    """
+    n = len(rows)
+    aux = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    cs = [0] * (n + 1)
+    cs[n] = 1  # leading coefficient of x**n
+    for k in range(1, n + 1):
+        aux = _int_mat_mul(rows, aux)
+        trace = sum(aux[i][i] for i in range(n))
+        assert trace % k == 0, "trace recursion division not exact"
+        ck = -(trace // k)
+        cs[n - k] = ck
+        for i in range(n):
+            aux[i][i] += ck
+    return cs
+
+
+def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Integer product a @ b that skips the zero entries of a."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(acc)
+    return out
+
+
+def char_poly_float(matrix) -> list[float]:
+    """Faddeev-LeVerrier in floating point, for real (weighted) matrices.
+
+    Accurate far below the test tolerances for the n <= 8 sizes it serves.
+    Returns ascending coefficients of the monic characteristic polynomial;
+    raises ValueError when one of them overflows double precision.
+    """
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
+    n = m.shape[0]
+    aux = np.eye(n)
+    cs = [0.0] * (n + 1)
+    cs[n] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            prod = m @ aux
+            ck = -np.trace(prod) / k
+            cs[n - k] = float(ck)
+            aux = prod + ck * np.eye(n)
+    if not all(math.isfinite(c) for c in cs):
+        raise ValueError("characteristic polynomial overflows double precision")
+    return cs

@@ -46,7 +46,6 @@ from ringspec.rootfind import (
     RootFinderConfig,
     certify_roots,
     char_poly_exact,
-    char_poly_float,
     refine_all,
     spectral_verdict,
 )
@@ -60,7 +59,7 @@ from ringspec.weighted import (
     k3_matrix,
     weighted_laplacian,
 )
-from support import match_multisets, spectrum_tol
+from support import char_poly_float, match_multisets, spectrum_tol
 
 
 def accurate_roots(poly):

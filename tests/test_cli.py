@@ -107,7 +107,7 @@ class TestClassify:
         assert rec["numeric_agrees"] is True
 
     def test_numeric_disagreement_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "spectral_verdict", lambda p: True)
+        monkeypatch.setattr(cli, "numeric_verdict", lambda g: True)
         code, out, err = run(capsys, "classify", "8", "11111111", "--numeric")
         rec = json.loads(out)
         assert code == 1
@@ -563,6 +563,8 @@ class TestSimulate:
     ("simulate", "3", "000", "--step", "1e-320"),
     # ring digraphs need n >= 3
     ("trees", "2", "--i", "1"),
+    # a trajectory of 1e15 steps, refused before its 21.3 PiB are asked for
+    ("simulate", "3", "000", "--horizon", "1e13", "--step", "0.01"),
 ])
 def test_malformed_or_non_finite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

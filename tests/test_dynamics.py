@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ringspec import ringgraph
+from ringspec import dynamics, ringgraph
 from ringspec.dynamics import (
     SimConfig,
     Trajectory,
@@ -66,6 +66,19 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(heavy, SimConfig(step=0.02, horizon=1.0))
         simulate(heavy, SimConfig(step=0.0009, horizon=0.1))
+
+    def test_stored_values_are_bounded_before_allocating(self, monkeypatch):
+        # the default 1,501 steps fit exactly; one value more is refused
+        lap = laplacian(RingDigraph(3, (False,) * 3))
+        monkeypatch.setattr(dynamics, "MAX_STATE_VALUES", 1501 * 3)
+        assert simulate(lap, SimConfig()).states.shape == (1501, 3)
+        monkeypatch.setattr(dynamics, "MAX_STATE_VALUES", 1501 * 3 - 1)
+        with pytest.raises(ValueError, match="stored values"):
+            simulate(lap, SimConfig())
+        monkeypatch.undo()
+        # 1e15 steps: numpy would be asked for 21.3 PiB
+        with pytest.raises(ValueError, match="stored values"):
+            simulate(lap, SimConfig(step=0.01, horizon=1e13))
 
     def test_rejects_bad_matrices(self):
         with pytest.raises(ValueError):

@@ -200,8 +200,7 @@ class TestCharPoly:
             raise AssertionError("the exact route called the numeric oracle")
 
         # replacing the code objects catches every name bound to these functions
-        for fn in (rootfind.char_poly_exact, rootfind._int_mat_mul,
-                   rootfind._transfer_char_poly):
+        for fn in (rootfind.char_poly_exact, rootfind._transfer_char_poly):
             monkeypatch.setattr(fn, "__code__", unavailable.__code__)
         for n in range(3, 11):
             for mask in all_masks(n):

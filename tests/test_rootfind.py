@@ -30,12 +30,11 @@ from ringspec.rootfind import (
     RootFinderConfig,
     certify_roots,
     char_poly_exact,
-    char_poly_float,
     refine_all,
     spectral_verdict,
     square_free_part,
 )
-from support import match_multisets, newton_roots, polyroots
+from support import char_poly_float, faddeev_leverrier, match_multisets, newton_roots, polyroots
 
 CFG = RootFinderConfig()
 
@@ -56,6 +55,16 @@ def _count_horner(monkeypatch) -> list[int]:
 def _approx(p) -> list[complex]:
     """The companion matrix's eigenvalues: approximations of p's roots in double."""
     return list(np.roots([float(c) for c in reversed(rootfind._coefficients(p))]))
+
+
+def _ring_shaped(rng, n: int, bound: int) -> list[list[int]]:
+    """A random n-by-n integer matrix, entries in [-bound, bound] on the cyclic
+    diagonals (i, i) and (i, i +- 1 mod n) and 0 everywhere else."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in (i - 1, i, i + 1):
+            m[i][j % n] = int(rng.integers(-bound, bound + 1))
+    return m
 
 
 def _sweep(p, dps: int, sweeps: int = rootfind._REFINE_SWEEPS):
@@ -160,7 +169,7 @@ class TestAberth:
         rng = np.random.default_rng(11)
         for _ in range(40):
             n = int(rng.integers(2, 7))
-            m = rng.integers(-4, 5, size=(n, n)).tolist()
+            m = _ring_shaped(rng, n, 4)
             p = char_poly_exact(m)
             rs = certify_roots(p, np.linalg.eigvals(np.array(m, dtype=float)))
             if not rs.converged:
@@ -713,6 +722,26 @@ class TestRefinement:
             refine_all(rs)
         assert calls[0] <= 160
 
+    def test_certified_distinct_roots_skip_the_square_free_part(self, monkeypatch):
+        # deg p distinct certified roots prove p square-free, so refine_all
+        # polishes p itself; only the 4 sets with repeated roots (the
+        # symmetric rings and the two near-balanced masks) run gcd(p, p'), and
+        # every root comes out as it does when all 13 run it
+        sets = [spectrum_numeric(RingDigraph.from_mask_string(len(mask), mask),
+                                 RootFinderConfig(working_dps=30 + len(mask)))
+                for mask in CERTIFIED_MASKS]
+        calls = []
+        real = rootfind.square_free_part
+        monkeypatch.setattr(rootfind, "square_free_part", lambda p: calls.append(p) or real(p))
+        refined = [refine_all(rs) for rs in sets]
+        assert calls == [rs.source for rs in sets if len(set(rs.roots)) < len(rs.roots)]
+        assert len(calls) == 4
+        monkeypatch.undo()
+        for rs, ref in zip(sets, refined):
+            polished = rootfind._polish(real(rs.source), rs.working)
+            assert ref.roots == tuple(z if p is None else p for z, p in zip(rs.roots, polished))
+            assert (ref.converged, ref.source) == (True, rs.source)
+
     @pytest.mark.parametrize("mask, distinct", [
         # 0 and 4 once, four double roots: six points, all real
         ("1" * 10, 6),
@@ -850,6 +879,58 @@ class TestSquareFreeFactors:
                 assert [k for _, k in factors] == sorted({k for _, k in factors})
 
 
+class TestRemainderSequence:
+    def test_terms_are_the_rational_sequence_without_content(self):
+        # Sturm's sequence a, b, -rem(a, b), ... over the rationals: each
+        # term after b is a positive multiple of it with coprime coefficients
+        def random_poly(degree):
+            return [rng.randint(-9, 9) for _ in range(degree)] + [rng.randint(1, 9)]
+
+        rng = random.Random(31)
+        repeated = 0
+        for trial in range(300):
+            a = random_poly(rng.randint(2, 9))
+            if trial % 3 == 0:  # a squared factor, so that gcd(a, a') is not constant
+                f = IntPolynomial(random_poly(rng.randint(1, 3)))
+                a = list(poly_mul(poly_mul(f, f), IntPolynomial(a)).coefficients)
+            b = rootfind._derivative(a) if trial % 2 else random_poly(len(a) - 2)
+            expected = [[Fraction(c) for c in a], [Fraction(c) for c in b]]
+            while len(expected[-1]) > 1:
+                r = _rational_remainder(*expected[-2:])
+                if not r:
+                    break
+                expected.append([-c for c in r])
+            terms = list(rootfind._remainder_sequence(a, b))
+            assert len(terms) == len(expected), (a, b)
+            assert terms[:2] == [a, b]
+            for t, e in zip(terms[2:], expected[2:]):
+                assert math.gcd(*t) == 1 and len(t) == len(e)
+                scale = Fraction(t[-1]) / e[-1]
+                assert scale > 0 and [scale * c for c in e] == t, (a, b)
+            # the last term is the gcd: it divides a and b, with the degree of
+            # the rational sequence's last term
+            gcd = rootfind._gcd(a, b)
+            repeated += len(gcd) > 1
+            assert len(gcd) == (len(expected[-1]) if len(expected[-1]) > 1 else 1)
+            assert gcd[-1] > 0 and math.gcd(*gcd) == 1
+            for poly in (a, b):  # raises ArithmeticError unless gcd divides it
+                rootfind._exact_quotient(poly, gcd)
+        assert repeated >= 50
+
+
+def _rational_remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """a mod b over the rationals, ascending, trailing zeros dropped."""
+    r = list(a)
+    while len(r) >= len(b):
+        q, shift = r[-1] / b[-1], len(r) - len(b)
+        for i, c in enumerate(b):
+            r[i + shift] -= q * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
 class TestSquareFreePart:
     def test_repeated_roots_become_simple(self):
         q = square_free_part(_monic_from_roots([1, 1, 2, 2, 2]))
@@ -878,10 +959,6 @@ class TestSquareFreePart:
 
     def test_degree_one(self):
         assert square_free_part(IntPolynomial([3, 2])) == (3, 2)
-
-
-def _unavailable(*args, **kwargs):
-    raise AssertionError("this route must not be taken")
 
 
 class TestCharPolyExact:
@@ -930,7 +1007,7 @@ class TestCharPolyExact:
                         m[i][(i + 1) % n] = 0
                     else:
                         m[(i + 1) % n][i] = 0
-            expected = rootfind._faddeev_leverrier(m)
+            expected = faddeev_leverrier(m)
             assert rootfind._transfer_char_poly(m) == expected, m
             assert list(char_poly_exact(m).coefficients) == expected, m
             # the recurrence over Fraction entries: det(xI - M/q) has the
@@ -940,24 +1017,9 @@ class TestCharPolyExact:
             assert rootfind._transfer_char_poly(scaled) == [
                 Fraction(c, q ** (n - k)) for k, c in enumerate(expected)], (m, q)
 
-    def test_ring_shaped_matrices_skip_faddeev_leverrier(self, monkeypatch):
-        monkeypatch.setattr(rootfind._int_mat_mul, "__code__", _unavailable.__code__)
-        for n in range(3, 9):
-            for bits in range(2 ** n):
-                g = RingDigraph(n, [(bits >> j) & 1 for j in range(n)])
-                assert char_poly_exact(laplacian(g)) == char_poly(g), (n, bits)
-        for n in (3, 4, 10, 40):
-            path = [[0] * n for _ in range(n)]
-            for i in range(n):
-                path[i][i] = 2 if i < n - 1 else 1
-                if i > 0:
-                    path[i][i - 1] = path[i - 1][i] = -1
-            assert char_poly_exact(path) == z_poly(n), n
-
-    def test_other_matrices_take_faddeev_leverrier(self, monkeypatch):
+    def test_other_matrices_are_refused(self):
         off_pattern = laplacian(RingDigraph.from_mask_string(6, "101101"))
         off_pattern[1][3] = 3  # one nonzero off the three cyclic diagonals
-        small = [[[3]], [[1, 2], [3, 4]], [[0, -1], [-1, 0]]]
         # each position off the cyclic diagonals, alone, wrapping ones included
         single = []
         for n in (4, 5, 7):
@@ -968,11 +1030,14 @@ class TestCharPolyExact:
                         m[i][j] = 2
                         single.append(m)
         assert len(single) == 4 + 10 + 28
-        expected = [rootfind._faddeev_leverrier(m) for m in [off_pattern] + small + single]
-        assert expected[1:4] == [[-3, 1], [-2, -5, 1], [-1, 0, 1]]
-        monkeypatch.setattr(rootfind._transfer_char_poly, "__code__", _unavailable.__code__)
-        for m, cs in zip([off_pattern] + small + single, expected):
-            assert list(char_poly_exact(m).coefficients) == cs, m
+        for m in [off_pattern] + single:
+            with pytest.raises(ValueError, match="ring-shaped"):
+                char_poly_exact(m)
+        # n <= 2: the determinant formula, as the trace recursion has it
+        small = [[], [[3]], [[1, 2], [3, 4]], [[0, -1], [-1, 0]]]
+        expected = [[1], [-3, 1], [-2, -5, 1], [-1, 0, 1]]
+        assert [faddeev_leverrier(m) for m in small] == expected
+        assert [list(char_poly_exact(m).coefficients) for m in small] == expected
         with pytest.raises(ValueError):
             char_poly_exact([[1, 2, 3], [4, 5, 6]])
 
@@ -983,23 +1048,36 @@ class TestCharPolyExact:
         assert char_poly_exact(np.array([[2, 0], [0, 1]])).coefficients == (2, -3, 1)
 
     def test_dense_matrices_match_numpy(self):
+        # a matrix on the cyclic diagonals, and so every one with n <= 3,
+        # matches np.poly; any other is refused
         rng = np.random.default_rng(23)
+        matched = refused = 0
         for trial in range(60):
             n = int(rng.integers(1, 9))
-            m = rng.integers(-5, 6, size=(n, n))
+            dense = rng.integers(-5, 6, size=(n, n))
             if trial % 3 == 0:
-                m[int(rng.integers(n)), :] = 0
+                dense[int(rng.integers(n)), :] = 0
             if trial % 4 == 0:
-                m[:, int(rng.integers(n))] = 0
-            expected = [int(round(c)) for c in np.poly(m)[::-1].real]
-            assert list(char_poly_exact(m.tolist()).coefficients) == expected, m
+                dense[:, int(rng.integers(n))] = 0
+            for m in (dense, np.array(_ring_shaped(rng, n, 5))):
+                off = any(m[i, j] for i in range(n) for j in range(n)
+                          if (j - i) % n not in (0, 1, n - 1))
+                if off:
+                    refused += 1
+                    with pytest.raises(ValueError):
+                        char_poly_exact(m.tolist())
+                    continue
+                matched += 1
+                expected = [int(round(c)) for c in np.poly(m)[::-1].real]
+                assert list(char_poly_exact(m.tolist()).coefficients) == expected, m
+        assert matched > 60 and refused > 20
 
     def test_agrees_with_float_route(self):
         rng = np.random.default_rng(17)
         count = 0
         while count < 100:
             n = int(rng.integers(2, 7))
-            m = rng.integers(-3, 4, size=(n, n)).tolist()
+            m = _ring_shaped(rng, n, 3)
             exact = certify_roots(char_poly_exact(m), _approx(char_poly_exact(m)))
             approx = certify_roots(char_poly_float(m), _approx(char_poly_float(m)))
             if not (exact.converged and approx.converged):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ringspec import weighted
-from ringspec.rootfind import char_poly_exact, char_poly_float, spectral_verdict
+from ringspec.rootfind import char_poly_exact, spectral_verdict
 from ringspec.weighted import (
     WeightMatrix,
     c4_boundary_value,
@@ -32,6 +32,7 @@ from ringspec.weighted import (
     scan_csv,
     weighted_laplacian,
 )
+from support import char_poly_float
 
 
 class TestWeightMatrix:
