@@ -11,6 +11,7 @@ eigenvalues certified exactly against them, and Newton's inequalities and
 Sturm counts).
 """
 
+from .arborescence import trig_product_check
 from .polycore import (
     IntPolynomial,
     LandmarkRoots,
@@ -23,10 +24,12 @@ from .polycore import (
     poly_product,
     poly_shift_const,
     product_bound_witness,
+    product_polynomial,
     w_poly,
     z_poly,
     z_roots,
     z_shifted_roots,
+    z_value,
 )
 from .ringgraph import (
     Classification,
@@ -47,8 +50,10 @@ from .rootfind import (
     refine_all,
     spectral_verdict,
 )
+from .weighted import c4_boundary_value
 
 __all__ = [
+    "trig_product_check",
     "IntPolynomial",
     "LandmarkRoots",
     "RealRootVerdict",
@@ -60,10 +65,12 @@ __all__ = [
     "poly_product",
     "poly_shift_const",
     "product_bound_witness",
+    "product_polynomial",
     "w_poly",
     "z_poly",
     "z_roots",
     "z_shifted_roots",
+    "z_value",
     "Classification",
     "GapDecomposition",
     "RingDigraph",
@@ -79,4 +86,5 @@ __all__ = [
     "char_poly_exact",
     "refine_all",
     "spectral_verdict",
+    "c4_boundary_value",
 ]

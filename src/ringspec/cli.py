@@ -16,9 +16,7 @@ import math
 import sys
 import time
 
-import numpy as np
-
-from . import arborescence, dynamics, weighted
+from . import arborescence, weighted
 from .ringgraph import (
     RingDigraph,
     classification_record,
@@ -169,6 +167,10 @@ def _cmd_weighted_c4(args) -> int:
     grid_max = (args.a_max, args.x_max)
     if not all(math.isfinite(v) and v > 0 for v in grid_max) or args.steps < 2:
         raise ValueError("need finite positive a-max/x-max and steps >= 2")
+    if args.steps ** 2 > weighted.C4_MAX_SAMPLES:
+        raise ValueError(f"{args.steps}**2 grid points exceed {weighted.C4_MAX_SAMPLES} samples")
+    import numpy as np
+
     a_grid = np.linspace(0.0, args.a_max, args.steps)
     x_grid = np.linspace(0.0, args.x_max, args.steps)
     samples = weighted.c4_scan(a_grid.tolist(), x_grid.tolist())
@@ -177,6 +179,8 @@ def _cmd_weighted_c4(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import dynamics
+
     g = _parse_graph(args)
     x0 = None
     if args.x0 is not None:

@@ -182,9 +182,3 @@ def trajectory_csv(traj: Trajectory) -> str:
     for t, row in zip(traj.times, traj.states):
         lines.append(",".join(repr(float(v)) for v in (t, *row)))
     return "\n".join(lines) + "\n"
-
-
-def disagreement(traj: Trajectory) -> np.ndarray:
-    """Squared Euclidean distance of the state from its mean, per sample."""
-    centered = traj.states - traj.states.mean(axis=1, keepdims=True)
-    return np.einsum("ij,ij->i", centered, centered)

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import rootfind
 from .polycore import (
     IntPolynomial,
@@ -208,6 +206,8 @@ def spectrum_numeric(g: RingDigraph, cfg: RootFinderConfig = RootFinderConfig())
     against the matrix's own polynomial :func:`ringspec.rootfind.char_poly_exact`
     (the result's ``source``), never the gap product.
     """
+    import numpy as np
+
     mat = laplacian(g)
     return rootfind.certify_roots(rootfind.char_poly_exact(mat),
                                   np.linalg.eigvals(np.array(mat, dtype=float)), cfg)

@@ -51,8 +51,6 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
-import numpy as np
-
 from .polycore import IntPolynomial
 
 
@@ -172,8 +170,10 @@ def certify_roots(p, approximations, cfg: RootFinderConfig = RootFinderConfig())
     return ComplexRootSet(tuple(map(complex, approximations)), False, coeffs)
 
 
-def _inverse_gaps(zs) -> np.ndarray:
-    """1 / |z_i - z_j| for each pair of the complex zs, 0 where i = j."""
+def _inverse_gaps(zs):
+    """1 / |z_i - z_j| for each pair of the complex zs, 0 where i = j, as a numpy array."""
+    import numpy as np
+
     z = np.array(zs, dtype=complex)
     with np.errstate(all="ignore"):
         return 1 / (abs(z[:, None] - z) + np.diag(np.full(len(z), math.inf)))

@@ -40,6 +40,8 @@ from typing import Sequence
 
 #: The two fixed arc weights of the variable-weight 4-cycle.
 C4_FIXED_WEIGHTS = (4, 9)
+#: the most grid points ``weighted c4`` scans: steps**2 samples of about 300 bytes each
+C4_MAX_SAMPLES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -198,39 +200,11 @@ def chorded_c4_cubic(p, y) -> tuple:
     return -(y + q), q * y + q, -(q * y + 1)
 
 
-def chorded_c4_laplacian(p: float, y: float) -> list[list[float]]:
-    """Laplacian of the 4-cycle 1->2->3->4->1 (weights 1, y, 1, 1) plus the
-    shortcut arc 1->4 of weight p."""
-    return [
-        [p + 1, -1, 0, -p],
-        [0, y, -y, 0],
-        [0, 0, 1, -1],
-        [-1, 0, 0, 1],
-    ]
-
-
 def chorded_c4_discriminant(p, y):
     """Cubic-factor discriminant; negative iff essentially cyclic."""
     if p <= 0 or y <= 0:
         raise ValueError(f"need p > 0 and y > 0, got p={p}, y={y}")
     return cubic_discriminant(*chorded_c4_cubic(p, y))
-
-
-def chorded_c4_quartic(p, y):
-    """The same discriminant written out as a quartic in y.
-
-    Kept as an independent expression; the tests verify it coincides with
-    :func:`chorded_c4_discriminant` exactly.
-    """
-    q = p + 3
-    value = 0
-    for c in (q * (q - 4),
-              -(2 * q ** 3 - 8 * q ** 2 + 4),
-              q * (q ** 3 - 2 * q ** 2 - 8 * q + 6),
-              -2 * q * (q + 2) * (q - 3) ** 2,
-              (q + 1) * (q - 3) ** 3):
-        value = value * y + c
-    return value
 
 
 def chorded_c4_boundary(p: float) -> tuple[float, float]:
@@ -296,16 +270,6 @@ def c4_cubic(a, x) -> tuple:
     the sum and product of the fixed pair.
     """
     return -(13 + x + a), 36 + 13 * x + 13 * a + a * x, -(36 * x + 36 * a + 13 * a * x)
-
-
-def c4_laplacian(a: float, x: float) -> list[list[float]]:
-    """Laplacian of the directed 4-cycle with arc weights (4, a, 9, x)."""
-    return [
-        [4, -4, 0, 0],
-        [0, a, -a, 0],
-        [0, 0, 9, -9],
-        [-x, 0, 0, x],
-    ]
 
 
 def c4_discriminant(a, x):

@@ -14,13 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ringspec.arborescence import (
-    brute_force_count,
-    count_by_cofactor,
-    path_matrix_spectrum,
-    tree_count_formula,
-    trig_product_check,
-)
+from ringspec.arborescence import tree_count_formula, trig_product_check
 from ringspec.polycore import (
     cheb_u,
     classify_product_real,
@@ -33,7 +27,7 @@ from ringspec.polycore import (
     z_shifted_roots,
     z_value,
 )
-from ringspec.dynamics import SimConfig, disagreement, dominant_frequency, simulate
+from ringspec.dynamics import SimConfig, dominant_frequency, simulate
 from ringspec.ringgraph import (
     RingDigraph,
     char_poly,
@@ -59,7 +53,15 @@ from ringspec.weighted import (
     k3_matrix,
     weighted_laplacian,
 )
-from support import char_poly_float, match_multisets, spectrum_tol
+from support import (
+    brute_force_count,
+    char_poly_float,
+    count_by_cofactor,
+    disagreement,
+    match_multisets,
+    path_matrix_spectrum,
+    spectrum_tol,
+)
 
 
 def accurate_roots(poly):

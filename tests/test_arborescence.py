@@ -10,19 +10,24 @@ import pytest
 from ringspec import arborescence
 from ringspec.arborescence import (
     ArborescenceCount,
-    bareiss_determinant,
-    brute_force_count,
-    count_by_cofactor,
     count_record,
-    path_laplacian,
-    path_matrix_spectrum,
     tree_count_formula,
     tree_counts,
     trig_product_check,
 )
 from ringspec.polycore import z_poly
 from ringspec.ringgraph import RingDigraph, arcs, classify_exact, laplacian
-from support import exact_abs_at, match_multisets, polyroots
+import support
+from support import (
+    bareiss_determinant,
+    brute_force_count,
+    count_by_cofactor,
+    exact_abs_at,
+    match_multisets,
+    path_laplacian,
+    path_matrix_spectrum,
+    polyroots,
+)
 
 
 def two_gap_digraph(n: int, i: int) -> RingDigraph:
@@ -158,14 +163,14 @@ class TestOneSolve:
 
     def test_one_elimination_per_ring_digraph(self, monkeypatch):
         calls = 0
-        eliminate = arborescence._bareiss_eliminate
+        eliminate = support._bareiss_eliminate
 
         def counting(m, size):
             nonlocal calls
             calls += 1
             return eliminate(m, size)
 
-        monkeypatch.setattr(arborescence, "_bareiss_eliminate", counting)
+        monkeypatch.setattr(support, "_bareiss_eliminate", counting)
         for n in range(3, 10):
             for bits in range(2 ** n):
                 calls = 0
@@ -187,14 +192,14 @@ class TestOneSolve:
                 assert total == tree_count_formula(n, i), (n, i)
 
     def test_a_count_off_the_left_kernel_raises(self, monkeypatch):
-        solve = arborescence._counts_from_root
+        solve = support._counts_from_root
 
         def off_by_one(rows, v):
             counts = solve(rows, v)
             counts[0] += 1
             return counts
 
-        monkeypatch.setattr(arborescence, "_counts_from_root", off_by_one)
+        monkeypatch.setattr(support, "_counts_from_root", off_by_one)
         with pytest.raises(ArithmeticError):
             count_by_cofactor(laplacian(two_gap_digraph(6, 2)))
 

@@ -346,13 +346,11 @@ class TestTrees:
         assert out == ""
 
     def test_mask_counts_never_touch_the_dense_laplacian(self, capsys, monkeypatch):
-        # the closed form and its O(n) certificate answer; the Bareiss
-        # oracle and the dense matrix stay out of the command's path
+        # the closed form and its O(n) certificate answer; the dense matrix
+        # stays out of the command's path
         def refuse(*args):
-            raise AssertionError("the trees command reached the cofactor route")
+            raise AssertionError("the trees command reached the dense Laplacian")
 
-        monkeypatch.setattr(arborescence, "count_by_cofactor", refuse)
-        monkeypatch.setattr(arborescence, "_bareiss_eliminate", refuse)
         laplacian = ringgraph.laplacian
         for module in (ringspec, ringgraph, cli, arborescence, dynamics):
             if getattr(module, "laplacian", None) is laplacian:
@@ -565,6 +563,8 @@ class TestSimulate:
     ("trees", "2", "--i", "1"),
     # a trajectory of 1e15 steps, refused before its 21.3 PiB are asked for
     ("simulate", "3", "000", "--horizon", "1e13", "--step", "0.01"),
+    # a grid of 2.5e7 samples, refused before its grid axes are built
+    ("weighted", "c4", "--steps", "5000"),
 ])
 def test_malformed_or_non_finite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -587,6 +587,41 @@ def test_importing_the_cli_leaves_mpmath_out():
                           capture_output=True, text=True, env=subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+#: every exact-route command, which must run with numpy unavailable
+EXACT_ROUTE = [
+    ("classify", "12", "011011011011"),
+    ("classify", "12", "011011011011", "--numeric"),
+    ("classify", "12", "111111111110", "--numeric"),
+    ("trees", "12", "101101110111"),
+    ("trees", "12", "--i", "5"),
+    ("spectrum", "12", "111111111110", "--method", "exact"),
+    ("weighted", "k3", "--weights", "[1,2,3,0.5,0,0]"),
+    ("weighted", "chorded-c4", "--p", "2"),
+]
+
+WITHOUT_NUMPY = """\
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from ringspec.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_the_exact_route_runs_without_numpy(capsys):
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, json.dumps(EXACT_ROUTE)],
+                          capture_output=True, text=True, env=subprocess_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    for argv, blocked in zip(EXACT_ROUTE, json.loads(proc.stdout), strict=True):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and [code, out] == blocked, argv
 
 
 def test_importing_the_main_module_runs_nothing():

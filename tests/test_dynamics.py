@@ -12,13 +12,13 @@ from ringspec import dynamics, ringgraph
 from ringspec.dynamics import (
     SimConfig,
     Trajectory,
-    disagreement,
     dominant_frequency,
     oscillation_report,
     simulate,
     trajectory_csv,
 )
 from ringspec.ringgraph import RingDigraph, laplacian
+from support import disagreement
 
 
 class TestConfig:

@@ -1,7 +1,7 @@
 """The modules of ringspec import only public names from one another, the
 package exports exactly the public names it imports, only the numeric spectrum
-and the oscillation report read eigenvalues, and every function and class of
-the root finder serves the rest of the program."""
+and the oscillation report read eigenvalues, every function and class serves
+the rest of the program, and tree counting imports only the ring digraph."""
 
 from __future__ import annotations
 
@@ -77,14 +77,14 @@ def test_the_root_finder_has_one_entry_point():
         assert any(getattr(sub, "attr", None) == "eigvals" for sub in ast.walk(node))
 
 
-def rootfind_names(source: str) -> set[str]:
-    """The names a module imports from ``rootfind`` or reads as ``rootfind.<name>``."""
+def module_names(source: str, module: str) -> set[str]:
+    """The names a source imports from ``module`` or reads as ``module.<name>``."""
     names = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and node.module in ("rootfind", "ringspec.rootfind"):
+        if isinstance(node, ast.ImportFrom) and node.module in (module, f"ringspec.{module}"):
             names |= {alias.name for alias in node.names}
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id == "rootfind"):
+                and node.value.id == module):
             names.add(node.attr)
     return names
 
@@ -122,18 +122,43 @@ def test_the_check_sees_an_unreached_definition():
     assert unreached(planted, {"used"}) == ["_Lonely", "_orphan"]
     assert unreached(planted, {"used", "_orphan"}) == []
     assert unreached(planted, set()) == ["_Lonely", "_helper", "_orphan", "used"]
-    assert rootfind_names("from .rootfind import a, b as c\nfrom . import rootfind\n"
-                          "def f():\n    return rootfind.d(rootfind)\n") == {"a", "b", "d"}
+    assert module_names("from .rootfind import a, b as c\nfrom . import rootfind\n"
+                        "def f():\n    return rootfind.d(rootfind)\n", "rootfind") == {
+        "a", "b", "d"}
+    assert module_names("from ringspec.weighted import e\n", "weighted") == {"e"}
 
 
-def test_every_root_finder_definition_serves_the_program():
-    # a function or class of rootfind that no other module reaches, directly
-    # or through rootfind's own definitions, serves only the tests
-    used = set().union(*(rootfind_names(path.read_text()) for path in SOURCES
-                         if path.stem != "rootfind"))
-    assert {"certify_roots", "refine_all", "char_poly_exact", "spectral_verdict"} <= used
-    source = (SOURCES[0].parent / "rootfind.py").read_text()
-    assert unreached(source, used) == []
+def test_every_definition_serves_the_program():
+    # a function or class that no other module (the package's exports
+    # included) reaches, directly or through its own module's definitions,
+    # serves only the tests
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    found = {}
+    for module, source in sources.items():
+        used = set().union(*(module_names(other, module)
+                             for name, other in sources.items() if name != module))
+        if module == "rootfind":
+            assert {"certify_roots", "refine_all", "char_poly_exact", "spectral_verdict"} <= used
+        found[module] = unreached(source, used)
+    assert {module: names for module, names in found.items() if names} == {}
+
+
+def package_imports(source: str) -> set[str]:
+    """The sibling modules a module of the package imports from, by name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found |= {alias.name for alias in node.names}
+    return found
+
+
+def test_tree_counting_imports_only_the_ring_digraph():
+    assert package_imports("from . import a\nfrom .b import c\nimport d\n") == {"a", "b"}
+    source = (SOURCES[0].parent / "arborescence.py").read_text()
+    assert package_imports(source) == {"ringgraph"}
 
 
 def test_the_check_sees_a_private_import():

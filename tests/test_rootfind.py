@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from ringspec import dynamics, rootfind
-from ringspec.arborescence import path_matrix_spectrum
 from ringspec.polycore import IntPolynomial, poly_mul, poly_shift_const, z_poly
 from ringspec.ringgraph import (
     RingDigraph,
@@ -34,7 +33,15 @@ from ringspec.rootfind import (
     spectral_verdict,
     square_free_part,
 )
-from support import char_poly_float, faddeev_leverrier, match_multisets, newton_roots, polyroots
+from support import (
+    char_poly_float,
+    chorded_c4_laplacian,
+    faddeev_leverrier,
+    match_multisets,
+    newton_roots,
+    path_matrix_spectrum,
+    polyroots,
+)
 
 CFG = RootFinderConfig()
 
@@ -1092,8 +1099,6 @@ class TestCharPolyFloat:
 
     def test_chorded_cycle_instance(self):
         # shortcut weight 3, variable arc 1: lambda(lambda^3-7l^2+12l-7)
-        from ringspec.weighted import chorded_c4_laplacian
-
         cs = char_poly_float(chorded_c4_laplacian(3.0, 1.0))
         assert cs == pytest.approx([0.0, -7.0, 12.0, -7.0, 1.0], abs=1e-10)
 

@@ -15,14 +15,11 @@ from ringspec.weighted import (
     c4_boundary_value,
     c4_cubic,
     c4_discriminant,
-    c4_laplacian,
     c4_scan,
     c4_triangle_ok,
     chorded_c4_boundary,
     chorded_c4_cubic,
     chorded_c4_discriminant,
-    chorded_c4_laplacian,
-    chorded_c4_quartic,
     cubic_discriminant,
     k3_classify,
     k3_discriminant,
@@ -32,7 +29,7 @@ from ringspec.weighted import (
     scan_csv,
     weighted_laplacian,
 )
-from support import char_poly_float
+from support import c4_laplacian, char_poly_float, chorded_c4_laplacian, chorded_c4_quartic
 
 
 class TestWeightMatrix:
